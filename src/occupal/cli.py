@@ -270,7 +270,8 @@ def _cmd_run(args):
                 scheme=config.scheme,
             )
         )
-    with concurrent.futures.ProcessPoolExecutor(max_workers=n) as pool:
+    workers = min(n, os.cpu_count() or 1)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         for cfg, result in zip(configs, pool.map(run_experiment, configs)):
             print(f"wrote {len(result)} artifacts to {cfg.out_dir}")
     return 0
@@ -442,7 +443,8 @@ def build_parser():
         "--parallel-seeds",
         type=int,
         default=None,
-        help="run N pipelines with master seeds seed..seed+N-1 in subdirectories",
+        help="run N pipelines with master seeds seed..seed+N-1 in subdirectories, "
+        "on at most one worker process per CPU",
     )
     add("verify", "run the fast property suites", needs_config=False)
     return parser

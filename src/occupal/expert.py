@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,33 +129,70 @@ def empirical_feature_expectation(trajectories, basis, discount, n_actions):
 # ---------------------------------------------------------------------------
 # persistence: one trajectory per line, space-separated "state:action" tokens
 
+# One trajectory line.  Eighteen digits at most, so that every index fits an
+# int64: np.fromstring saturates an overflowing integer instead of failing.
+_TRAJECTORY_LINE = re.compile(rb"\d{1,18}:\d{1,18}(?:[ \t]+\d{1,18}:\d{1,18})*")
+
 
 def save_trajectories(path, trajectories, header=None):
-    """Write one `state:action ...` line per rollout; '#' lines are comments."""
+    """Write a batch of trajectories as text, one rollout per line.
+
+    Each line holds the rollout's steps as `state:action` tokens in
+    nonnegative decimal, separated by single spaces.  A `header` becomes a
+    first line `# header`.  The batch is the (m, H, 2) array from
+    sample_trajectories (or a list of equal-length trajectories).
+    """
     batch = np.asarray(trajectories, dtype=np.int64)
+    if batch.ndim != 3 or batch.shape[2] != 2:
+        raise ValueError(f"expected shape (m, H, 2), got {batch.shape}")
+    if batch.size and batch.min() < 0:
+        raise ValueError("trajectory indices must be nonnegative")
+    # Format each (state, action) pair that occurs once, then gather the
+    # tokens by pair index; only the per-row join runs in Python.  The table
+    # has at most n_states * n_actions entries, as many as a basis has rows.
+    n_actions = int(batch[:, :, 1].max(initial=0)) + 1
+    pairs = batch[:, :, 0] * n_actions + batch[:, :, 1]
+    tokens = np.empty(int(pairs.max(initial=-1)) + 1, dtype=object)
+    for k in np.flatnonzero(np.bincount(pairs.ravel())).tolist():
+        tokens[k] = f"{k // n_actions}:{k % n_actions}"
+    body = "".join(" ".join(row) + "\n" for row in tokens[pairs].tolist())
     with open(path, "w") as fh:
         if header is not None:
             fh.write(f"# {header}\n")
-        for traj in batch:
-            fh.write(" ".join(f"{s}:{a}" for s, a in traj))
-            fh.write("\n")
+        fh.write(body)
 
 
 def load_trajectories(path):
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            pairs = [token.split(":") for token in line.split()]
-            rows.append([(int(s), int(a)) for s, a in pairs])
+    """Read a file written by save_trajectories into an (m, H, 2) int64 array.
+
+    Accepted: lines of nonnegative decimal `state:action` tokens (at most 18
+    digits each) separated by spaces or tabs, all lines with the same number
+    of tokens; blank lines and lines starting with `#` are skipped, and
+    leading or trailing whitespace and `\\r\\n` line ends are ignored.
+    Raises ValueError for a file with no trajectory, a malformed token or
+    lines of different lengths.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read()
+    rows = [
+        line
+        for line in map(bytes.strip, text.splitlines())
+        if line and not line.startswith(b"#")
+    ]
     if not rows:
         raise ValueError(f"no trajectories in {path}")
-    lengths = {len(r) for r in rows}
+    for number, line in enumerate(rows, 1):
+        if _TRAJECTORY_LINE.fullmatch(line) is None:
+            raise ValueError(
+                f"malformed trajectory {number} in {path}: {line[:60]!r}"
+            )
+    lengths = {line.count(b":") for line in rows}
     if len(lengths) != 1:
         raise ValueError(f"mixed trajectory lengths {sorted(lengths)} in {path}")
-    return np.array(rows, dtype=np.int64)
+    values = np.fromstring(
+        b" ".join(rows).replace(b":", b" "), dtype=np.int64, sep=" "
+    )
+    return values.reshape(len(rows), -1, 2)
 
 
 def estimator_to_json(est):

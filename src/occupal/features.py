@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import Mdp, OccupancyMeasure, Policy, occupancy_of_policy
+from .mdp import OccupancyMeasure, Policy, occupancy_of_policy
 
 __all__ = [
     "CostBasis",

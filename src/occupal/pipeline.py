@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -191,7 +191,7 @@ def _build_environment(spec, seed):
             seed=seed,
         )
         rng = np.random.default_rng(seed)
-        cost = rng.uniform(0.0, 1.0, size=(mdp.n_states, mdp.n_actions))
+        cost = rng.uniform(0.0, 1.0, size=(mdp.n_states, mdp.n_actions)).ravel()
     elif kind == "chain":
         mdp = make_chain(float(spec.get("discount", 0.5)))
         cost = chain_cost()

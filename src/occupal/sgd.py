@@ -19,7 +19,6 @@ import numpy as np
 from .expert import hoeffding_sample_size
 from .extraction import policy_from_vector
 from .features import FeatureMatrix, _vector_of, flow_feature_rows
-from .mdp import Policy
 
 __all__ = [
     "SgdConfig",

@@ -22,6 +22,7 @@ from occupal import (
     hoeffding_sample_size,
     load_trajectories,
     make_chain,
+    make_gridworld,
     make_random_mdp,
     sample_trajectories,
     save_trajectories,
@@ -175,6 +176,72 @@ def test_trajectory_file_round_trip(tmp_path):
     text = path.read_text()
     assert text.startswith("# stage_seed=15\n")
     assert np.array_equal(load_trajectories(path), batch)
+
+
+def _reference_save(path, batch, header=None):
+    """The per-token writer that save_trajectories must match byte for byte."""
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(f"# {header}\n")
+        for traj in np.asarray(batch, dtype=np.int64):
+            fh.write(" ".join(f"{s}:{a}" for s, a in traj))
+            fh.write("\n")
+
+
+def _reference_batches():
+    grid, _ = make_gridworld(12, 12, 0.9, 0.1)  # states up to 143, actions up to 3
+    uniform = Policy(np.full((grid.n_states, grid.n_actions), 0.25))
+    yield sample_trajectories(grid, uniform, m=30, horizon=400, seed=17), "stage_seed=17"
+    yield sample_trajectories(grid, uniform, m=1, horizon=1, seed=18), None
+    mdp = make_random_mdp(5, 3, 0.7, seed=19)
+    policy = Policy(np.full((5, 3), 1.0 / 3.0))
+    yield sample_trajectories(mdp, policy, m=9, horizon=7, seed=20), None
+    # sparse, multi-digit pairs that no sampler draws
+    yield np.array([[[0, 0], [143, 3], [1000, 2]], [[99, 1], [10, 0], [0, 3]]]), "x"
+
+
+def test_trajectory_writer_matches_reference_bytes(tmp_path):
+    for k, (batch, header) in enumerate(_reference_batches()):
+        expected, actual = tmp_path / f"ref{k}.txt", tmp_path / f"new{k}.txt"
+        _reference_save(expected, batch, header=header)
+        save_trajectories(actual, batch, header=header)
+        assert actual.read_bytes() == expected.read_bytes(), k
+        assert np.array_equal(load_trajectories(actual), batch), k
+
+
+def test_trajectory_writer_rejects_bad_batches(tmp_path):
+    for batch in (np.zeros((3, 2)), np.zeros((2, 3, 3)), [[[0, -1]]]):
+        with pytest.raises(ValueError):
+            save_trajectories(tmp_path / "bad.txt", batch)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0:1:2 3\n",
+        "0:1 x:0\n",
+        "0::1\n",
+        "0:1,1:0\n",
+        "-1:0\n",
+        "0:1 1:0 5\n",
+        "1234567890123456789:0\n",  # past int64
+        "# only a comment\n\n# and another\n",
+        "",
+    ],
+)
+def test_trajectory_loader_rejects_malformed_files(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        load_trajectories(path)
+
+
+def test_trajectory_loader_accepts_comments_blanks_tabs_and_crlf(tmp_path):
+    path = tmp_path / "loose.txt"
+    path.write_bytes(
+        b"# header\r\n0:1 12:3\r\n\r\n  # between\r\n143:0\t\t7:2  \r\n"
+    )
+    assert load_trajectories(path).tolist() == [[[0, 1], [12, 3]], [[143, 0], [7, 2]]]
 
 
 def test_trajectory_loader_rejects_ragged_lines(tmp_path):

@@ -91,6 +91,19 @@ def test_smoke_run_writes_all_artifacts(tmp_path):
     assert len(trace_lines) == 2 + 100
 
 
+def test_random_environment_run_writes_all_artifacts(tmp_path):
+    out = tmp_path / "random"
+    config = chain_config(
+        out,
+        environment={"kind": "random", "n_states": 8, "n_actions": 2, "discount": 0.9},
+        basis={"kind": "state-action-indicator"},
+    )
+    paths = run_experiment(ExperimentConfig.from_json(config))
+    assert set(paths) == set(ARTIFACT_NAMES)
+    for name in ARTIFACT_NAMES:
+        assert (out / name).stat().st_size > 0, name
+
+
 def test_rerun_is_byte_identical(tmp_path):
     run_experiment(ExperimentConfig.from_json(chain_config(tmp_path / "a")))
     run_experiment(ExperimentConfig.from_json(chain_config(tmp_path / "b")))
@@ -231,6 +244,35 @@ def test_cli_parallel_seeds(tmp_path):
     assert (parent / "seed-8" / "trace.csv").read_bytes() == (
         direct / "trace.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("cpus, n, expected", [(2, 5, 2), (None, 3, 1), (8, 3, 3)])
+def test_cli_parallel_seeds_caps_workers_at_cpu_count(
+    tmp_path, monkeypatch, cpus, n, expected
+):
+    requested = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    parent = tmp_path / "sweep"
+    config_path = write_config(tmp_path, chain_config(parent))
+    assert main(["run", "--config", config_path, "--parallel-seeds", str(n)]) == 0
+    assert requested == [expected]
+    for seed in range(7, 7 + n):
+        assert (parent / f"seed-{seed}" / "trace.csv").exists()
 
 
 def test_cli_verify_passes():
