@@ -1,9 +1,10 @@
 """Two exact solvers, and an optimum no deterministic policy can reach.
 
-The feature-matching program is solved two independent ways: a dense
-two-phase simplex on the linear-program reformulation, and a projected
-subgradient method over the full state-action box with an exact penalty
-for the flow constraints.  They must agree to high precision.
+The feature-matching program is solved two independent ways: a revised
+simplex on the linear-program reformulation, started from a deterministic
+policy's vertex, and a projected subgradient method over the full
+state-action box with an exact penalty for the flow constraints.  They
+must agree to high precision.
 
 The second instance shows why the subgradient solver needs its smoothed
 refinement stage: with a dense cost basis the optimum can sit strictly

@@ -1,17 +1,18 @@
 """Exact small-instance solver for the occupancy matching program.
 
 The reference solution minimizes ||Psi^T mu - target||_1 over the Bellman
-flow polytope by a dense two-phase simplex with Bland's rule (both the
-entering and leaving choices break ties toward the lowest variable index,
-so the method terminates without cycling).  A deterministic projected
-subgradient solver over the full state-action space, using an exact l1
-penalty for the flow equalities and an adaptive Polyak level rule for the
-step sizes, provides an independent cross-check of the optimum.
+flow polytope by a revised simplex method.  Every deterministic policy is
+a vertex of that polytope, so the method starts from one and needs no
+phase 1; it prices by Dantzig's rule and falls back to Bland's rule on
+runs of degenerate pivots, so it terminates without cycling.  A
+deterministic projected subgradient solver over the full state-action
+space, using an exact l1 penalty for the flow equalities and an adaptive
+Polyak level rule for the step sizes, provides an independent cross-check
+of the optimum.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -41,6 +42,12 @@ __all__ = [
 ]
 
 _MAX_EXACT_PAIRS = 4096
+_MAX_PIVOTS = 200_000
+_REFACTOR_EVERY = 64  # pivots between fresh inversions of the basis matrix
+_DEGENERATE_RUN = 32  # degenerate Dantzig pivots in a row before Bland's rule
+_TOL = 1e-9
+_HARRIS_TOL = 1e-11  # infeasibility the ratio test may accept for a larger pivot
+_SMALL_PIVOT = 1e-6  # relative to the column's largest entry
 
 
 @dataclass(frozen=True)
@@ -90,85 +97,96 @@ class SimplexError(RuntimeError):
     pass
 
 
-def _pivot(tab, basis, row, col):
-    tab[row] /= tab[row, col]
-    for r in range(tab.shape[0]):
-        if r != row and tab[r, col] != 0.0:
-            tab[r] -= tab[r, col] * tab[row]
-    basis[row] = col
+def _revised_simplex(costs, a, b, basis):
+    """Minimize costs @ x s.t. a @ x = b, x >= 0, from a feasible basis.
 
+    The arguments are float arrays.  `basis` names one column per row,
+    forming a nonsingular B with B^-1 b >= 0.  B^-1 is kept explicitly: a
+    rank-one (product-form) update per pivot, and a fresh inversion every
+    _REFACTOR_EVERY pivots, around every pivot below _SMALL_PIVOT of its
+    column (on an updated inverse such a pivot may be round-off) and
+    before returning, so the final basis is checked primal and dual
+    feasible on an exact inverse.  Pricing takes the most negative reduced
+    cost (Dantzig).  After _DEGENERATE_RUN degenerate pivots in a row,
+    Bland's lowest-index rule picks both the entering and the leaving
+    column until the objective moves again, so the method cannot cycle.
+    Returns (x, objective).
+    """
+    basis = np.array(basis, dtype=np.intp)
 
-def _run_simplex_phase(tab, basis, costs, n_cols, tol, max_pivots):
-    """Bland-rule pivoting until no reduced cost is negative."""
-    for _ in range(max_pivots):
-        cb = costs[basis]
-        reduced = costs[:n_cols] - cb @ tab[:, :n_cols]
-        entering = -1
-        for j in range(n_cols):
-            if reduced[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
-            return
-        col = tab[:, entering]
-        best_ratio, leave = None, -1
-        for r in range(tab.shape[0]):
-            if col[r] > tol:
-                ratio = tab[r, -1] / col[r]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio - 1e-12
-                    or (abs(ratio - best_ratio) <= 1e-12 and basis[r] < basis[leave])
-                ):
-                    best_ratio, leave = ratio, r
-        if leave < 0:
-            raise SimplexError("objective unbounded below (bad assembly)")
-        _pivot(tab, basis, leave, entering)
-    raise SimplexError(f"no convergence within {max_pivots} pivots")
+    def factorise():
+        try:
+            inv = np.linalg.inv(a[:, basis])
+        except np.linalg.LinAlgError as exc:
+            raise SimplexError("singular basis matrix") from exc
+        return inv, inv @ b
 
+    def check_feasible(x_b, which):
+        if x_b.min() < -_TOL:
+            raise SimplexError(
+                f"{which} basis is not primal feasible (x_B min {x_b.min()!r})"
+            )
 
-def _simplex_bland(costs, a_eq, b_eq, tol=1e-9, max_pivots=200_000):
-    """Minimize costs @ x s.t. a_eq @ x = b_eq, x >= 0.  Dense two-phase."""
-    a = np.array(a_eq, dtype=float)
-    b = np.array(b_eq, dtype=float)
-    m, n = a.shape
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-
-    # phase 1: minimize the sum of artificial variables
-    tab = np.hstack([a, np.eye(m), b[:, None]])
-    basis = list(range(n, n + m))
-    phase1_costs = np.concatenate([np.zeros(n), np.ones(m)])
-    _run_simplex_phase(tab, basis, phase1_costs, n + m, tol, max_pivots)
-    infeas = phase1_costs[basis] @ tab[:, -1]
-    if infeas > 1e-7:
-        raise SimplexError(f"infeasible system (phase-1 objective {infeas})")
-
-    # drive leftover artificials out of the basis, dropping redundant rows
-    keep = []
-    for r in range(m):
-        if basis[r] < n:
-            keep.append(r)
+    inv, x_b = factorise()
+    check_feasible(x_b, "starting")
+    since_refactor, degenerate = 0, 0
+    for _ in range(_MAX_PIVOTS):
+        reduced = costs - (costs[basis] @ inv) @ a
+        reduced[basis] = 0.0
+        improving = np.flatnonzero(reduced < -_TOL)
+        if improving.size == 0:
+            if since_refactor == 0:  # optimal on a freshly factorised basis
+                check_feasible(x_b, "final")
+                x = np.zeros(a.shape[1])
+                x[basis] = x_b
+                return x, float(costs @ x)
+            inv, x_b = factorise()
+            since_refactor = 0
             continue
-        swapped = False
-        for j in range(n):
-            if abs(tab[r, j]) > tol:
-                _pivot(tab, basis, r, j)
-                keep.append(r)
-                swapped = True
-                break
-        if not swapped:
-            continue  # identically-zero row: redundant constraint
-    tab = tab[keep][:, list(range(n)) + [n + m]]
-    basis = [basis[r] for r in keep]
+        bland = degenerate >= _DEGENERATE_RUN
+        entering = improving[0] if bland else improving[np.argmin(reduced[improving])]
+        col = inv @ a[:, entering]
+        leave = _leaving_row(col, x_b, basis, bland)
+        small = col[leave] < _SMALL_PIVOT * np.abs(col).max()
+        if small and since_refactor:
+            inv, x_b = factorise()
+            since_refactor = 0
+            col = inv @ a[:, entering]
+            leave = _leaving_row(col, x_b, basis, bland)
+        step = max(x_b[leave], 0.0) / col[leave]
 
-    phase2_costs = np.asarray(costs, dtype=float)
-    _run_simplex_phase(tab, basis, phase2_costs, n, tol, max_pivots)
-    x = np.zeros(n)
-    for r, var in enumerate(basis):
-        x[var] = tab[r, -1]
-    return x, float(phase2_costs @ x)
+        x_b -= step * col
+        x_b[leave] = step
+        pivot_row = inv[leave] / col[leave]
+        inv -= np.outer(col, pivot_row)
+        inv[leave] = pivot_row
+        basis[leave] = entering
+        degenerate = degenerate + 1 if step <= _TOL else 0
+        since_refactor = (since_refactor + 1) % _REFACTOR_EVERY
+        if since_refactor == 0 or small:
+            inv, x_b = factorise()
+            since_refactor = 0
+    raise SimplexError(f"no convergence within {_MAX_PIVOTS} pivots")
+
+
+def _leaving_row(col, x_b, basis, bland):
+    """Ratio test for the entering column `col` = B^-1 a_q.
+
+    Bland: the lowest variable index among the rows of minimum ratio.
+    Otherwise Harris: the largest pivot among the rows whose ratio is
+    within the step that keeps every basic value above -_HARRIS_TOL, since
+    tiny pivots on degenerate rows would wreck the updated inverse.
+    """
+    rows = np.flatnonzero(col > _TOL)
+    if rows.size == 0:
+        raise SimplexError("objective unbounded below")
+    ratios = np.maximum(x_b[rows], 0.0) / col[rows]
+    if bland:
+        ties = rows[ratios <= ratios.min() + 1e-12]
+        return ties[np.argmin(basis[ties])]
+    bound = max(((x_b[rows] + _HARRIS_TOL) / col[rows]).min(), 0.0)
+    ties = rows[ratios <= bound]
+    return ties[np.argmax(col[ties])]
 
 
 def _flow_matrix(mdp):
@@ -177,49 +195,67 @@ def _flow_matrix(mdp):
     return incidence - mdp.discount * mdp.transition.T
 
 
+def _l1_program(mdp, psi, b_target):
+    """The LP min sum(u + v) s.t. flow mu = nu0, Psi^T mu - u + v = b, all >= 0.
+
+    Columns are mu (n_pairs), then u and v (n_costs each); rows are the
+    n_states flow equalities, then the n_costs feature rows.
+    """
+    n, nc = psi.shape
+    eye = np.eye(nc)
+    a_eq = np.block([
+        [_flow_matrix(mdp), np.zeros((mdp.n_states, 2 * nc))],
+        [psi.T, -eye, eye],
+    ])
+    b_eq = np.concatenate([mdp.initial_dist, b_target])
+    costs = np.concatenate([np.zeros(n), np.ones(2 * nc)])
+    return costs, a_eq, b_eq
+
+
+def _warm_start_basis(mdp, psi, b_target):
+    """A feasible starting basis of `_l1_program`, no phase 1 needed.
+
+    The pair columns of any deterministic policy pi form I - g P_pi^T on
+    the flow rows, which is invertible, and give pi's occupancy measure.
+    Each feature row then takes u_i when pi's residual r_i >= 0 and v_i
+    otherwise, so the basis matrix is block-triangular and nonsingular,
+    and its solution (mu_pi, |r|) is nonnegative.  The policy is the one
+    minimizing s . Psi^T mu for the uniform policy's residual signs s.
+    """
+    n, nc = psi.shape
+    uniform = occupancy_of_policy(mdp, uniform_policy(mdp)).mass
+    signs = np.where(psi.T @ uniform - b_target >= 0.0, 1.0, -1.0)
+    actions, mu = _optimal_occupancy_for_cost(mdp, psi @ signs)
+    residual = psi.T @ mu.mass - b_target
+    splits = np.where(residual >= 0.0, n, n + nc) + np.arange(nc)
+    pairs = np.arange(mdp.n_states) * mdp.n_actions + actions
+    return np.concatenate([pairs, splits])
+
+
 def exact_al_solve(mdp, basis, target):
     """Exact minimum of the feature-matching gap over the flow polytope.
 
-    The l1 objective is linearized with one auxiliary variable per basis
-    column (t_i >= |(Psi^T mu - target)_i| via two slack inequalities), so
-    the LP has n_pairs + 3 n_costs variables.  Guarded to 4096 pairs.
+    The l1 objective is split as Psi^T mu - target = u - v with u, v >= 0,
+    so the LP has n_states + n_costs rows and n_pairs + 2 n_costs variables.
+    A revised simplex solves it from a deterministic policy's vertex
+    (`_warm_start_basis`).  Guarded to 4096 pairs.
     """
     if mdp.n_pairs > _MAX_EXACT_PAIRS:
         raise ValueError(
             f"exact solve guarded to {_MAX_EXACT_PAIRS} pairs, got {mdp.n_pairs}"
         )
     psi = basis.psi
-    n, nc = psi.shape
     b_target = _vector_of(target)
-    n_vars = n + 3 * nc
+    if b_target.shape != (basis.n_costs,) or not np.all(np.isfinite(b_target)):
+        raise ValueError(
+            f"target must be {basis.n_costs} finite numbers, got {b_target!r}"
+        )
 
-    rows = []
-    rhs = []
-    flow = _flow_matrix(mdp)
-    for x in range(mdp.n_states):
-        row = np.zeros(n_vars)
-        row[:n] = flow[x]
-        rows.append(row)
-        rhs.append(mdp.initial_dist[x])
-    for i in range(nc):
-        row = np.zeros(n_vars)
-        row[:n] = psi[:, i]
-        row[n + i] = -1.0
-        row[n + nc + i] = 1.0
-        rows.append(row)
-        rhs.append(b_target[i])
-    for i in range(nc):
-        row = np.zeros(n_vars)
-        row[:n] = -psi[:, i]
-        row[n + i] = -1.0
-        row[n + 2 * nc + i] = 1.0
-        rows.append(row)
-        rhs.append(-b_target[i])
-
-    costs = np.zeros(n_vars)
-    costs[n : n + nc] = 1.0
-    x, objective = _simplex_bland(costs, np.array(rows), np.array(rhs))
-    mu = np.clip(x[:n], 0.0, None)
+    costs, a_eq, b_eq = _l1_program(mdp, psi, b_target)
+    x, objective = _revised_simplex(
+        costs, a_eq, b_eq, _warm_start_basis(mdp, psi, b_target)
+    )
+    mu = np.clip(x[: mdp.n_pairs], 0.0, None)
     check = float(np.abs(psi.T @ mu - b_target).sum())
     if abs(check - objective) > 1e-9 * max(1.0, abs(objective)) + 1e-9:
         raise SimplexError(
@@ -236,6 +272,7 @@ def _optimal_occupancy_for_cost(mdp, cost):
     Policy iteration on the deterministic policies: evaluate exactly by
     linear solve, improve greedily, stop when no action improves by more
     than solver round-off.  Finite and independent of the simplex code.
+    Returns (actions, measure) of the final deterministic policy.
     """
     cost = np.asarray(cost, dtype=float)
     policy, _ = value_iteration(mdp, cost, tolerance=1e-12)
@@ -256,7 +293,7 @@ def _optimal_occupancy_for_cost(mdp, cost):
         if np.array_equal(improved, actions):
             break
         actions = improved
-    return occupancy_of_policy(mdp, deterministic_policy(mdp, actions))
+    return actions, occupancy_of_policy(mdp, deterministic_policy(mdp, actions))
 
 
 def _smoothed_descent(a_mat, a_t, rhs, hi, x0, on_stage):
@@ -354,7 +391,7 @@ def subgradient_solve(mdp, basis, target, iterations=1_000_000,
             if key in probed:
                 return
             probed.add(key)
-            mu_s = _optimal_occupancy_for_cost(mdp, psi @ s)
+            _, mu_s = _optimal_occupancy_for_cost(mdp, psi @ s)
             lower = float(s @ (psi.T @ mu_s.mass - b_target))
             if lower > best_lower:
                 best_lower = lower
@@ -468,12 +505,3 @@ def regret_report_to_json(report):
         "holds": report.holds,
     }
 
-
-def save_exact_solution(path, solution):
-    with open(path, "w") as fh:
-        json.dump(exact_solution_to_json(solution), fh)
-
-
-def save_regret_report(path, report):
-    with open(path, "w") as fh:
-        json.dump(regret_report_to_json(report), fh)

@@ -1,10 +1,11 @@
 """The exact solvers and the regret guarantee arithmetic.
 
 exact_al_solve minimizes the l1 feature-matching gap over the occupancy
-polytope with a dense simplex method; subgradient_solve reaches the same
-optimum by projected subgradient descent over the box with an exact-penalty
-flow term.  Both are checked against each other, against hand-solvable
-instances, and against brute sampling of the polytope.
+polytope with a revised simplex method that starts from a deterministic
+policy's vertex; subgradient_solve reaches the same optimum by projected
+subgradient descent over the box with an exact-penalty flow term.  Both
+are checked against each other, against hand-solvable instances, and
+against brute sampling of the polytope.
 """
 
 import math
@@ -23,14 +24,18 @@ from occupal import (
     flow_residual,
     l1_feature_gap,
     make_chain,
+    make_gridworld,
     make_random_mdp,
     occupancy_of_policy,
     region_indicator_basis,
     regret_report,
     state_action_indicator_basis,
     subgradient_solve,
+    value_iteration,
 )
-from occupal.baseline import _simplex_bland
+from occupal import baseline
+from occupal.baseline import _l1_program, _revised_simplex, _warm_start_basis
+from occupal.features import CostBasis
 
 CHAIN = make_chain(0.5)
 
@@ -44,25 +49,9 @@ def test_simplex_solves_hand_lp():
     costs = np.array([-1.0, -2.0, 0.0])
     a_eq = np.array([[1.0, 1.0, 1.0]])
     b_eq = np.array([1.0])
-    x, value = _simplex_bland(costs, a_eq, b_eq)
+    x, value = _revised_simplex(costs, a_eq, b_eq, [2])  # start at the slack
     assert value == pytest.approx(-2.0, abs=1e-12)
     assert np.abs(x - [0.0, 1.0, 0.0]).max() < 1e-12
-
-
-def test_simplex_handles_redundant_rows_and_negative_rhs():
-    costs = np.array([2.0, 3.0])
-    a_eq = np.array([[1.0, 1.0], [2.0, 2.0], [-1.0, -1.0]])
-    b_eq = np.array([4.0, 8.0, -4.0])  # all three say x1 + x2 = 4
-    x, value = _simplex_bland(costs, a_eq, b_eq)
-    assert value == pytest.approx(8.0, abs=1e-9)  # all mass on the cheap var
-    assert np.abs(x - [4.0, 0.0]).max() < 1e-9
-
-
-def test_simplex_detects_infeasibility():
-    a_eq = np.array([[1.0], [1.0]])
-    b_eq = np.array([1.0, 2.0])  # x = 1 and x = 2
-    with pytest.raises(SimplexError, match="infeasible"):
-        _simplex_bland(np.array([1.0]), a_eq, b_eq)
 
 
 def test_simplex_detects_unboundedness():
@@ -70,7 +59,61 @@ def test_simplex_detects_unboundedness():
     a_eq = np.array([[0.0, 1.0]])
     b_eq = np.array([1.0])
     with pytest.raises(SimplexError, match="unbounded"):
-        _simplex_bland(np.array([-1.0, 0.0]), a_eq, b_eq)
+        _revised_simplex(np.array([-1.0, 0.0]), a_eq, b_eq, [1])
+
+
+@pytest.mark.parametrize("bland_from_start", [False, True])
+def test_simplex_terminates_on_a_cycling_example(monkeypatch, bland_from_start):
+    # Beale's example: Dantzig pivoting that breaks ratio ties by lowest
+    # index cycles on it from the slack basis; Bland's rule cannot
+    if bland_from_start:
+        monkeypatch.setattr(baseline, "_DEGENERATE_RUN", 0)
+    costs = np.array([0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+    a_eq = np.array([
+        [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+        [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+    ])
+    x, value = _revised_simplex(costs, a_eq, np.array([0.0, 0.0, 1.0]), [0, 1, 2])
+    assert value == pytest.approx(-1.25, abs=1e-12)
+    assert np.abs(a_eq @ x - [0.0, 0.0, 1.0]).max() < 1e-12
+    assert x.min() >= 0.0
+
+
+def test_simplex_rejects_a_bad_starting_basis():
+    costs = np.array([1.0, 1.0, 0.0])
+    a_eq = np.array([[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]])
+    b_eq = np.array([1.0, 1.0])
+    with pytest.raises(SimplexError, match="singular"):
+        _revised_simplex(costs, a_eq, b_eq, [0, 1])
+    with pytest.raises(SimplexError, match="not primal feasible"):
+        _revised_simplex(costs, a_eq, b_eq, [0, 2])  # x3 = 1 - 2 < 0
+
+
+def test_warm_start_basis_is_feasible_and_nonsingular():
+    rng = np.random.default_rng(36)
+    for trial in range(9):
+        mdp = make_random_mdp(
+            int(rng.integers(2, 9)), [1, 2, 4][trial % 3],
+            float(rng.uniform(0.3, 0.95)), seed=200 + trial,
+        )
+        if trial % 2:
+            psi = rng.uniform(0.0, 1.0, (mdp.n_pairs, int(rng.integers(1, 6))))
+            basis = CostBasis(psi / psi.max())
+        else:
+            basis = region_indicator_basis(mdp, int(rng.integers(1, mdp.n_states + 1)))
+        target = rng.uniform(-0.5, 2.0 / (1.0 - mdp.discount), basis.n_costs)
+        _, a_eq, b_eq = _l1_program(mdp, basis.psi, target)
+        n_rows = mdp.n_states + basis.n_costs
+        assert a_eq.shape == (n_rows, mdp.n_pairs + 2 * basis.n_costs)
+        start = _warm_start_basis(mdp, basis.psi, target)
+        assert start.shape == (n_rows,) and np.unique(start).size == n_rows
+        # one pair column per state: a deterministic policy
+        states = start[: mdp.n_states] // mdp.n_actions
+        assert np.array_equal(states, np.arange(mdp.n_states))
+        b_mat = a_eq[:, start]
+        assert np.linalg.cond(b_mat) < 1e8
+        assert np.linalg.solve(b_mat, b_eq).min() >= -1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +171,35 @@ def test_lp_optimum_beats_every_policy():
         assert solution.objective <= gap_of(
             Policy(probs / probs.sum(axis=1, keepdims=True))
         ) + 1e-9
+
+
+@pytest.mark.parametrize(
+    "width,n_blocks,discount,slip",
+    [(9, 3, 0.9, 0.1), (10, 5, 0.9, 0.1), (12, 4, 0.9, 0.1), (16, 4, 0.9, 0.1),
+     # half, then nearly all, of the starting basic values lie below 1e-9
+     (16, 3, 0.5, 0.3), (16, 7, 0.5, 0.0)],
+)
+def test_expert_target_on_gridworlds(width, n_blocks, discount, slip):
+    # the expert's own feature expectation is attainable, so the gap is zero
+    mdp, cost = make_gridworld(width, width, discount, slip)
+    basis = region_indicator_basis(mdp, n_blocks)
+    expert, _ = value_iteration(mdp, cost, tolerance=1e-10)
+    target = feature_expectation(occupancy_of_policy(mdp, expert), basis)
+    solution = exact_al_solve(mdp, basis, target)
+    assert solution.objective <= 1e-9
+    neg, flow_gap = flow_residual(mdp, solution.mu_star.mass)
+    assert neg == 0.0
+    assert flow_gap <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "n_blocks,target",
+    [(1, [1.0, 1.0, 1.0]), (2, [2.0]), (1, [[2.0]]), (1, [np.nan]), (2, [1.0, np.inf])],
+)
+def test_exact_solver_validates_the_target(n_blocks, target):
+    basis = region_indicator_basis(CHAIN, n_blocks)
+    with pytest.raises(ValueError, match="target"):
+        exact_al_solve(CHAIN, basis, np.array(target))
 
 
 def test_exact_solver_rejects_oversized_instances():

@@ -92,16 +92,19 @@ def test_smoke_run_writes_all_artifacts(tmp_path):
 
 
 def test_random_environment_run_writes_all_artifacts(tmp_path):
-    out = tmp_path / "random"
-    config = chain_config(
-        out,
-        environment={"kind": "random", "n_states": 8, "n_actions": 2, "discount": 0.9},
-        basis={"kind": "state-action-indicator"},
-    )
-    paths = run_experiment(ExperimentConfig.from_json(config))
-    assert set(paths) == set(ARTIFACT_NAMES)
-    for name in ARTIFACT_NAMES:
-        assert (out / name).stat().st_size > 0, name
+    # at 48 x 3 the baseline's LP has 192 rows and 432 columns
+    for n_states, n_actions in [(8, 2), (48, 3)]:
+        out = tmp_path / f"random-{n_states}x{n_actions}"
+        config = chain_config(
+            out,
+            environment={"kind": "random", "n_states": n_states,
+                         "n_actions": n_actions, "discount": 0.9},
+            basis={"kind": "state-action-indicator"},
+        )
+        paths = run_experiment(ExperimentConfig.from_json(config))
+        assert set(paths) == set(ARTIFACT_NAMES)
+        for name in ARTIFACT_NAMES:
+            assert (out / name).stat().st_size > 0, (n_states, name)
 
 
 def test_rerun_is_byte_identical(tmp_path):
