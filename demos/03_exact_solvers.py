@@ -2,15 +2,17 @@
 
 The feature-matching program is solved two independent ways: a revised
 simplex on the linear-program reformulation, started from a deterministic
-policy's vertex, and a projected subgradient method over the full
+policy's vertex, and `subgradient_solve`, which chases the objective's
+sign cells with exact policy-iteration solves and, when those do not
+certify the optimum, runs a smoothed accelerated descent over the full
 state-action box with an exact penalty for the flow constraints.  They
 must agree to high precision.
 
-The second instance shows why the subgradient solver needs its smoothed
-refinement stage: with a dense cost basis the optimum can sit strictly
-inside a kink face of the objective, where the optimal policy mixes
-actions.  Every deterministic policy -- every vertex of the occupancy
-polytope -- is strictly worse there.
+The second instance shows why `subgradient_solve` needs its smoothed
+stage: with a dense cost basis the optimum can sit strictly inside a kink
+face of the objective, where the optimal policy mixes actions.  Every
+deterministic policy -- every vertex of the occupancy polytope -- is
+strictly worse there, so no sign cell certifies it.
 """
 
 import itertools

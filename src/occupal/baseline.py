@@ -4,11 +4,14 @@ The reference solution minimizes ||Psi^T mu - target||_1 over the Bellman
 flow polytope by a revised simplex method.  Every deterministic policy is
 a vertex of that polytope, so the method starts from one and needs no
 phase 1; it prices by Dantzig's rule and falls back to Bland's rule on
-runs of degenerate pivots, so it terminates without cycling.  A
-deterministic projected subgradient solver over the full state-action
-space, using an exact l1 penalty for the flow equalities and an adaptive
-Polyak level rule for the step sizes, provides an independent cross-check
-of the optimum.
+runs of degenerate pivots, so it terminates without cycling.
+
+An independent cross-check of the optimum shares no code with the simplex.
+It first chases the objective's sign cells (subgradients of the l1 norm)
+with exact policy-iteration solves, which certifies any optimum that a
+deterministic policy attains.  Otherwise it minimizes a smoothed copy of
+the objective, plus an exact l1 penalty for the flow equalities, by
+accelerated projected gradient over the full state-action box.
 """
 
 from __future__ import annotations
@@ -50,13 +53,29 @@ _HARRIS_TOL = 1e-11  # infeasibility the ratio test may accept for a larger pivo
 _SMALL_PIVOT = 1e-6  # relative to the column's largest entry
 
 
+def _certifies(objective, lower_bound):
+    """Whether a lower bound proves `objective` optimal up to round-off."""
+    return objective - lower_bound <= 1e-9 * max(1.0, objective)
+
+
 @dataclass(frozen=True)
 class ExactSolution:
-    """Optimal occupancy measure, its objective, and which solver found it."""
+    """Optimal occupancy measure, its objective, and which solver found it.
+
+    `lower_bound`, when known, is a proven lower bound on the optimum;
+    `certified` tells whether it meets the objective.
+    """
 
     mu_star: OccupancyMeasure
     objective: float
     method: str
+    lower_bound: float | None = None
+
+    @property
+    def certified(self):
+        return self.lower_bound is not None and _certifies(
+            self.objective, self.lower_bound
+        )
 
 
 @dataclass(frozen=True)
@@ -262,8 +281,9 @@ def exact_al_solve(mdp, basis, target):
             f"objective {objective} disagrees with recomputed gap {check}"
         )
     # report the gap recomputed from mu so the objective is exactly
-    # consistent with the returned measure (and never a tiny negative)
-    return ExactSolution(OccupancyMeasure(mu), check, "lp-simplex")
+    # consistent with the returned measure (and never a tiny negative); the
+    # final basis is dual feasible, so the objective is its own lower bound
+    return ExactSolution(OccupancyMeasure(mu), check, "lp-simplex", check)
 
 
 def _optimal_occupancy_for_cost(mdp, cost):
@@ -302,8 +322,8 @@ def _smoothed_descent(a_mat, a_t, rhs, hi, x0, on_stage):
     Replaces |r| by the Huber function of width eps (quadratic inside
     [-eps, eps], linear outside), minimizes over the box by accelerated
     projected gradient steps, and shrinks eps tenfold per continuation
-    stage.  `on_stage(x)` receives the iterate after every stage.  The
-    whole schedule is deterministic.
+    stage (Nesterov 2005).  `on_stage(x)` receives the iterate after every
+    stage.  The whole schedule is deterministic.
     """
     v = np.full(a_mat.shape[1], 1.0 / math.sqrt(a_mat.shape[1]))
     lam_max = 1.0
@@ -322,11 +342,12 @@ def _smoothed_descent(a_mat, a_t, rhs, hi, x0, on_stage):
         y, x_prev, tk = x.copy(), x.copy(), 1.0
         for _ in range(4000):
             res = a_mat @ y - rhs
-            grad = a_t @ np.clip(res / eps, -1.0, 1.0)
-            x_new = np.clip(y - step * grad, 0.0, hi)
+            grad = a_t @ np.minimum(np.maximum(res / eps, -1.0), 1.0)
+            x_new = np.minimum(np.maximum(y - step * grad, 0.0), hi)
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-            y = x_new + ((tk - 1.0) / t_next) * (x_new - x_prev)
-            move = float(np.abs(x_new - x_prev).max())
+            diff = x_new - x_prev
+            y = x_new + ((tk - 1.0) / t_next) * diff
+            move = float(np.abs(diff).max())
             x_prev, tk = x_new, t_next
             if move < 1e-2 * step:
                 break
@@ -335,46 +356,31 @@ def _smoothed_descent(a_mat, a_t, rhs, hi, x0, on_stage):
         eps *= 0.1
 
 
-def subgradient_solve(mdp, basis, target, iterations=1_000_000,
-                      path_budget=None, level_floor=1e-10):
+def subgradient_solve(mdp, basis, target, iterations=None):
     """Independent solve of the same program over the full variable space.
 
-    Minimizes the feature gap plus an exact l1 penalty on the flow
-    equalities over the box [0, 1/(1-g)]^n (which contains the polytope),
-    by deterministic projected subgradient steps.  The step size targets
-    the level f_rec - delta; delta halves only once the path travelled
-    since the last sufficient record exceeds `path_budget` (default: the
-    box diameter), the rule that lets the record value keep approaching
-    the minimum instead of freezing at a kink.
-
     The objective is a maximum of linear functions indexed by sign
-    vectors, so each candidate iterate is also polished: its residual
-    sign cell s yields an exact policy-iteration minimizer of the linear
-    function s . (Psi^T mu - target), giving a feasible upper bound and a
-    certified lower bound at once.  The solve returns early when the two
-    meet.  When they do not meet -- the minimizing face can be a kink
-    whose every point mixes actions, so no deterministic-policy probe
-    reaches it -- a smoothed accelerated descent (`_smoothed_descent`)
-    refines the record point into that face before the final repair.
+    vectors.  The solve first polishes the uniform policy's measure: its
+    residual sign cell s yields an exact policy-iteration minimizer of the
+    linear function s . (Psi^T mu - target), giving a feasible upper bound
+    and a certified lower bound at once, and the next cell is chased from
+    there.  It returns when the two bounds meet.
+
+    When they do not meet -- the minimizing face can be a kink whose every
+    point mixes actions, so no deterministic-policy probe reaches it -- a
+    smoothed accelerated descent (`_smoothed_descent`) minimizes the
+    feature gap plus an exact l1 penalty on the flow equalities over the
+    box [0, 1/(1-g)]^n, which contains the polytope, from the same start.
+    After each smoothing stage the iterate is repaired onto the polytope
+    through its policy and polished again.
+
+    The result's `lower_bound` is the best polish bound, so `certified`
+    tells whether the objective is proven optimal.  `iterations` is
+    accepted for compatibility and ignored: the smoothing schedule fixes
+    its own number of steps.
     """
     psi = basis.psi
     b_target = _vector_of(target)
-    flow = _flow_matrix(mdp)
-    nu0 = mdp.initial_dist
-    n = mdp.n_pairs
-    hi = 1.0 / (1.0 - mdp.discount)
-    # exact-penalty weight: moving any box point onto the polytope costs at
-    # most flow_gap/(1-g) in l1, and the objective is Lipschitz with
-    # constant sum_i ||psi_i||_inf, so this weight dominates the repair
-    pen = float(np.abs(psi).max(axis=0).sum()) / (1.0 - mdp.discount) + 1.0
-    if path_budget is None:
-        path_budget = hi * math.sqrt(n)
-
-    # one stacked residual map: rows are the basis columns then the
-    # penalty-weighted flow rows, so each step is two small matvecs
-    a_mat = np.vstack([psi.T, pen * flow])
-    a_t = np.ascontiguousarray(a_mat.T)
-    rhs = np.concatenate([b_target, pen * nu0])
 
     best_mu = occupancy_of_policy(mdp, uniform_policy(mdp))
     best_gap = float(np.abs(psi.T @ best_mu.mass - b_target).sum())
@@ -400,46 +406,6 @@ def subgradient_solve(mdp, basis, target, iterations=1_000_000,
             if gap < best_gap:
                 best_mu, best_gap = mu_s, gap
 
-    def certified():
-        return best_gap - best_lower <= 1e-9 * max(1.0, best_gap)
-
-    x = best_mu.mass.copy()
-    polish(x)
-    if certified():
-        return ExactSolution(best_mu, best_gap, "full-subgradient")
-
-    res = a_mat @ x - rhs
-    f = float(np.abs(res).sum())
-    f_rec, x_rec = f, x.copy()
-    delta = max(0.5 * f_rec, 1.0)
-    path = 0.0
-    for t in range(iterations):
-        g = a_t @ np.sign(res)
-        norm_sq = float(g @ g)
-        if norm_sq <= 1e-24:
-            break
-        step = (f - (f_rec - delta)) / norm_sq
-        x = np.clip(x - step * g, 0.0, hi)
-        res = a_mat @ x - rhs
-        f = float(np.abs(res).sum())
-        path += step * math.sqrt(norm_sq)
-        if f < f_rec:
-            sufficient = f < f_rec - 0.5 * delta
-            f_rec, x_rec = f, x.copy()
-            if sufficient:
-                path = 0.0
-                polish(x_rec)
-                if certified():
-                    break
-        if path > path_budget:
-            delta *= 0.5
-            path = 0.0
-            if delta < level_floor * max(1.0, f_rec):
-                break
-        if t % 512 == 511:
-            polish(x)
-            if certified():
-                break
     def repair(u):
         nonlocal best_mu, best_gap
         mu = occupancy_of_policy(mdp, policy_from_vector(u, mdp))
@@ -448,10 +414,20 @@ def subgradient_solve(mdp, basis, target, iterations=1_000_000,
             best_mu, best_gap = mu, gap
         polish(u)
 
-    repair(x_rec)
-    if not certified():
-        _smoothed_descent(a_mat, a_t, rhs, hi, x_rec, repair)
-    return ExactSolution(best_mu, best_gap, "full-subgradient")
+    x = best_mu.mass.copy()
+    polish(x)
+    if not _certifies(best_gap, best_lower):
+        # exact-penalty weight: moving any box point onto the polytope costs
+        # at most flow_gap/(1-g) in l1, and the objective is Lipschitz with
+        # constant sum_i ||psi_i||_inf, so this weight dominates the repair
+        pen = float(np.abs(psi).max(axis=0).sum()) / (1.0 - mdp.discount) + 1.0
+        # one stacked residual map: rows are the basis columns then the
+        # penalty-weighted flow rows, so each step is two small matvecs
+        a_mat = np.vstack([psi.T, pen * _flow_matrix(mdp)])
+        a_t = np.ascontiguousarray(a_mat.T)
+        rhs = np.concatenate([b_target, pen * mdp.initial_dist])
+        _smoothed_descent(a_mat, a_t, rhs, 1.0 / (1.0 - mdp.discount), x, repair)
+    return ExactSolution(best_mu, best_gap, "full-subgradient", best_lower)
 
 
 def regret_report(trained, exact, inputs):

@@ -2,10 +2,11 @@
 
 exact_al_solve minimizes the l1 feature-matching gap over the occupancy
 polytope with a revised simplex method that starts from a deterministic
-policy's vertex; subgradient_solve reaches the same optimum by projected
-subgradient descent over the box with an exact-penalty flow term.  Both
-are checked against each other, against hand-solvable instances, and
-against brute sampling of the polytope.
+policy's vertex; subgradient_solve reaches the same optimum by sign-cell
+polish and, where that does not certify, smoothed accelerated descent
+over the box with an exact-penalty flow term.  Both are checked against
+each other, against hand-solvable instances, and against brute sampling
+of the polytope, and their certificates are checked for honesty.
 """
 
 import math
@@ -38,6 +39,22 @@ from occupal.baseline import _l1_program, _revised_simplex, _warm_start_basis
 from occupal.features import CostBasis
 
 CHAIN = make_chain(0.5)
+
+
+def _expert_gridworld(width):
+    """A gridworld, a 4-block basis and the expert's own feature expectation."""
+    mdp, cost = make_gridworld(width, width, 0.9, 0.1)
+    basis = region_indicator_basis(mdp, 4)
+    expert, _ = value_iteration(mdp, cost, tolerance=1e-10)
+    return mdp, basis, feature_expectation(occupancy_of_policy(mdp, expert), basis)
+
+
+def _dense_instance(seed):
+    """Demo 03's recipe: a 3x3 random MDP with a dense 4-column basis."""
+    rng = np.random.default_rng(seed)
+    mdp = make_random_mdp(3, 3, 0.8, seed=seed)
+    psi = rng.uniform(0.0, 1.0, (mdp.n_pairs, 4))
+    return mdp, CostBasis(psi / psi.max()), rng.uniform(-0.3, 1.5 / 0.2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +242,7 @@ def test_subgradient_solver_matches_simplex():
         basis = region_indicator_basis(mdp, n_blocks)
         target = rng.uniform(0.0, 2.0 / (1.0 - mdp.discount), n_blocks)
         lp = exact_al_solve(mdp, basis, target)
-        sub = subgradient_solve(mdp, basis, target, iterations=200_000)
+        sub = subgradient_solve(mdp, basis, target)
         assert sub.method == "full-subgradient"
         worst = max(worst, abs(lp.objective - sub.objective))
         assert abs(lp.objective - sub.objective) <= 1e-4
@@ -237,15 +254,13 @@ def test_subgradient_solver_matches_simplex():
 
 def test_subgradient_solver_on_known_instance():
     basis = region_indicator_basis(CHAIN, 2)
-    sub = subgradient_solve(CHAIN, basis, np.array([1.8, 0.9]), iterations=200_000)
+    sub = subgradient_solve(CHAIN, basis, np.array([1.8, 0.9]))
     assert sub.objective == pytest.approx(0.7, abs=1e-6)
 
 
 def test_subgradient_solver_on_dense_bases():
     # dense bases can put the optimum strictly inside a kink face that no
     # deterministic policy touches; the smoothed refinement must find it
-    from occupal.features import CostBasis
-
     rng = np.random.default_rng(77)
     for trial in range(2):
         mdp = make_random_mdp(6, 3, 0.8, seed=500 + trial)
@@ -253,10 +268,69 @@ def test_subgradient_solver_on_dense_bases():
         basis = CostBasis(psi / psi.max())
         target = rng.uniform(-0.5, 2.0 / (1.0 - mdp.discount), 5)
         lp = exact_al_solve(mdp, basis, target)
-        sub = subgradient_solve(mdp, basis, target, iterations=200_000)
+        sub = subgradient_solve(mdp, basis, target)
         assert abs(lp.objective - sub.objective) <= 1e-4
         neg, flow_gap = flow_residual(mdp, sub.mu_star.mass)
         assert neg <= 1e-12 and flow_gap <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [lambda: _expert_gridworld(10), lambda: _expert_gridworld(4),
+     lambda: _dense_instance(17)],
+    ids=["gridworld-10x10", "gridworld-4x4", "dense-seed-17"],
+)
+def test_subgradient_solver_reaches_hard_optima(instance):
+    # the gridworlds' optima are zero-gap faces the sign-cell polish does
+    # not reach from the uniform start; seed 17's optimum mixes actions
+    mdp, basis, target = instance()
+    lp = exact_al_solve(mdp, basis, target)
+    sub = subgradient_solve(mdp, basis, target)
+    assert abs(lp.objective - sub.objective) <= 1e-4
+    neg, flow_gap = flow_residual(mdp, sub.mu_star.mass)
+    assert neg <= 1e-12 and flow_gap <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# certificates
+
+
+def test_simplex_solution_is_certified():
+    basis = region_indicator_basis(CHAIN, 2)
+    solution = exact_al_solve(CHAIN, basis, np.array([1.8, 0.9]))
+    assert solution.lower_bound == solution.objective
+    assert solution.certified
+
+
+def test_polish_certifies_a_deterministic_optimum():
+    # acceptance criterion 09's first instance, drawn the same way
+    rng = np.random.default_rng(909)
+    n_states, n_actions = int(rng.integers(2, 11)), int(rng.integers(1, 5))
+    gamma = float(rng.uniform(0.3, 0.95))
+    mdp = make_random_mdp(n_states, n_actions, gamma, seed=9000)
+    basis = region_indicator_basis(mdp, int(rng.integers(1, n_states + 1)))
+    target = rng.uniform(-0.5, 2.0 / (1.0 - gamma), basis.n_costs)
+    lp = exact_al_solve(mdp, basis, target)
+    sub = subgradient_solve(mdp, basis, target)
+    assert sub.certified
+    assert sub.lower_bound <= lp.objective + 1e-9
+    assert abs(lp.objective - sub.objective) <= 1e-9 * max(1.0, lp.objective)
+
+
+@pytest.mark.parametrize("seed", [27, 11])
+def test_mixed_optimum_is_not_certified(seed):
+    # no sign cell's policy-iteration bound reaches a mixed optimum, so the
+    # solve must not claim one; seed 11's objective is also visibly off
+    mdp, basis, target = _dense_instance(seed)
+    lp = exact_al_solve(mdp, basis, target)
+    sub = subgradient_solve(mdp, basis, target)
+    assert sub.lower_bound <= lp.objective <= sub.objective
+    assert not sub.certified
+
+
+def test_missing_lower_bound_is_not_certified():
+    exact = ExactSolution(mu_star=np.zeros(4), objective=0.0, method="lp-simplex")
+    assert exact.lower_bound is None and not exact.certified
 
 
 # ---------------------------------------------------------------------------
