@@ -7,6 +7,13 @@ to estimate the two penalty sums, giving an unbiased subgradient whose l2
 norm never exceeds the constant K carried by SamplingConstants; the loop
 asserts that bound at every step.  Iterates are projected onto the l2 ball
 of radius rho and their running mean is the returned solution.
+
+One estimator, _Estimator, built once per run, forms every estimate: the
+training loop steps with it and subgradient_estimate wraps it, so the
+exhaustive unbiasedness checks test the code that trains.  The loop keeps
+the iterates of each chunk of steps in a fixed buffer and records their
+losses with one batched evaluation per chunk, bit for bit equal to the
+loss computed right after each step.
 """
 
 from __future__ import annotations
@@ -53,11 +60,12 @@ class SgdConfig:
     delta: float | None = None
 
     def __post_init__(self):
-        if self.rho <= 0:
+        # negated comparisons so that NaN is rejected too
+        if not self.rho > 0:
             raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
@@ -151,31 +159,100 @@ def exact_subgradient(theta, phi, basis, mdp, target, lam):
     return g
 
 
+class _Estimator:
+    """The subgradient estimator and loss recorder of one problem instance.
+
+    Built once from (Phi, Psi, target, lam, q1, q2): A = Psi^T Phi, the flow
+    rows of Phi, and the penalty rows t2 = lam/q2 * flow and t3 = lam/q1 *
+    Phi, each scaled by 1/batch.  `estimate` is the only code that forms a
+    subgradient estimate; `losses` evaluates stored iterates in a way that
+    reproduces the one-at-a-time loss bit for bit.
+    """
+
+    def __init__(self, phi_arr, basis, mdp, target, lam, q1, q2, batch=1):
+        target = _vector_of(target)
+        if target.shape != (basis.n_costs,) or not np.isfinite(target).all():
+            raise ValueError(
+                f"target must be {basis.n_costs} finite numbers, got {target!r}"
+            )
+        self.target = target
+        self.a_mat = basis.psi.T @ phi_arr  # (n_c, d)
+        self.a_t = np.ascontiguousarray(self.a_mat.T)
+        self.phi = phi_arr
+        self.flow = flow_feature_rows(phi_arr, mdp)  # (S, d)
+        self.nu0 = mdp.initial_dist
+        scale = lam / batch
+        # per-row lists: indexing a list is cheaper than indexing an array
+        self.flow_rows = list(self.flow)
+        self.nu0_list = self.nu0.tolist()
+        self.t2_rows = list((scale / q2)[:, None] * self.flow)
+        self.phi_rows = list(phi_arr)
+        self.t3_rows = list((scale / q1)[:, None] * phi_arr)
+
+    def estimate(self, theta, pairs, states):
+        """Estimate at theta from one batch of drawn pairs and states.
+
+        The penalty rows carry the 1/batch factor, so this is the mean of
+        the single-draw estimates.
+        """
+        # ndarray.dot calls the same BLAS routines as @ with half the call
+        # overhead on operands this small
+        g = self.a_t.dot(np.sign(self.a_mat.dot(theta) - self.target))
+        flow_rows, nu0, t2_rows = self.flow_rows, self.nu0_list, self.t2_rows
+        for y in states:
+            r = float(flow_rows[y].dot(theta)) - nu0[y]
+            if r > 0.0:
+                g += t2_rows[y]
+            elif r < 0.0:
+                g -= t2_rows[y]
+        phi_rows, t3_rows = self.phi_rows, self.t3_rows
+        for xa in pairs:
+            if float(phi_rows[xa].dot(theta)) < 0.0:
+                g -= t3_rows[xa]
+        return g
+
+    def losses(self, iterates):
+        """(objective, v1, v2) of each row of a C-contiguous (n, d) array."""
+        residual = _row_products(iterates, self.a_mat) - self.target
+        objective = np.abs(residual).sum(axis=1)
+        v1 = -np.minimum(_row_products(iterates, self.phi), 0.0).sum(axis=1) + 0.0
+        v2 = np.abs(_row_products(iterates, self.flow) - self.nu0).sum(axis=1)
+        return objective, v1, v2
+
+
+def _row_products(iterates, m):
+    """(n, rows of m) array whose row i equals m @ iterates[i] bit for bit.
+
+    A single iterates @ m.T (gemm) rounds differently from the per-iterate
+    product.  One matrix-vector product per row of m, iterates @ m[j], does
+    not, and takes fewer calls when m has fewer rows than there are
+    iterates; otherwise each iterate gets its own m @ iterates[i].  The
+    result is C-contiguous, so sums along axis 1 add in the per-vector order.
+    """
+    out = np.empty((iterates.shape[0], m.shape[0]))
+    if m.shape[0] < iterates.shape[0]:
+        for j, row in enumerate(m):
+            out[:, j] = iterates @ row
+    else:
+        for i, theta in enumerate(iterates):
+            out[i] = m @ theta
+    return out
+
+
 def subgradient_estimate(
     theta, phi, basis, mdp, target, lam, constants, pair_index, state_index
 ):
     """Single-draw estimate given the sampled pair and state indices.
 
     Averaging this over pair_index ~ q1 and state_index ~ q2 reproduces
-    exact_subgradient; the estimate's l2 norm is at most constants.k.
+    exact_subgradient; the estimate's l2 norm is at most constants.k.  It is
+    the estimate run_sgd_al forms at a step that drew these indices.
     """
-    phi_arr = _phi_array(phi)
+    kernel = _Estimator(
+        _phi_array(phi), basis, mdp, target, lam, constants.q1, constants.q2
+    )
     theta = np.asarray(theta, dtype=float)
-    g = phi_arr.T @ (
-        basis.psi @ np.sign(basis.psi.T @ (phi_arr @ theta) - _vector_of(target))
-    )
-    y = int(state_index)
-    k = mdp.n_actions
-    flow_col = phi_arr[y * k : (y + 1) * k].sum(axis=0) - mdp.discount * (
-        mdp.transition[:, y] @ phi_arr
-    )
-    s2 = np.sign(float(flow_col @ theta) - mdp.initial_dist[y])
-    if s2 != 0.0:
-        g = g + (lam * s2 / constants.q2[y]) * flow_col
-    xa = int(pair_index)
-    if float(phi_arr[xa] @ theta) < 0.0:
-        g = g - (lam / constants.q1[xa]) * phi_arr[xa]
-    return g
+    return kernel.estimate(theta, (int(pair_index),), (int(state_index),))
 
 
 def stochastic_subgradient(theta, phi, basis, mdp, target, lam, constants, rng):
@@ -190,13 +267,19 @@ def stochastic_subgradient(theta, phi, basis, mdp, target, lam, constants, rng):
     )
 
 
+# Bound on steps per chunk times state-action pairs, the size of the
+# (chunk, n_pairs) array that a chunk's loss recording holds: 512 KB.
+_CHUNK_ELEMENTS = 1 << 16
+
+
 def run_sgd_al(config, phi, basis, mdp, target, constants):
     """Averaged projected stochastic subgradient descent.
 
     Starts from theta = 0; step t draws (pair, state), forms the estimate
-    at the current iterate, takes the projected step, and records the loss
-    of the new iterate.  Returns the trace (whose theta_avg is the mean of
-    iterates 1..T) and the policy extracted from Phi theta_avg.
+    at the current iterate and takes the projected step.  The loss of each
+    new iterate is recorded once per chunk of steps from the stored
+    iterates.  Returns the trace (whose theta_avg is the mean of iterates
+    1..T) and the policy extracted from Phi theta_avg.
     """
     if abs(constants.lam - config.lam) > 1e-12 * max(1.0, config.lam):
         raise ValueError(
@@ -204,25 +287,22 @@ def run_sgd_al(config, phi, basis, mdp, target, constants):
         )
     phi_arr = _phi_array(phi)
     n_pairs, dim = phi_arr.shape
-    n_states = mdp.n_states
-    target_vals = _vector_of(target)
     lam, eta, rho = config.lam, config.eta, config.rho
     batch = config.batch_size
     T = config.iterations
-
-    a_mat = basis.psi.T @ phi_arr  # (n_c, d)
-    a_t = np.ascontiguousarray(a_mat.T)
-    flow_rows = flow_feature_rows(phi_arr, mdp)  # (S, d)
-    nu0 = mdp.initial_dist
-    t2 = (lam / constants.q2)[:, None] * flow_rows
-    t3 = (lam / constants.q1)[:, None] * phi_arr
+    kernel = _Estimator(
+        phi_arr, basis, mdp, target, lam, constants.q1, constants.q2, batch
+    )
+    estimate = kernel.estimate
     cum1 = np.cumsum(constants.q1)
     cum2 = np.cumsum(constants.q2)
     k_limit = constants.k * (1.0 + 1e-9)
     rho_sq = rho * rho
+    chunk = max(1, _CHUNK_ELEMENTS // n_pairs)
 
     theta = np.zeros(dim)
     theta_sum = np.zeros(dim)
+    iterates = np.empty((min(chunk, T), dim))
     loss_total = np.empty(T)
     loss_objective = np.empty(T)
     v1_col = np.empty(T)
@@ -230,57 +310,40 @@ def run_sgd_al(config, phi, basis, mdp, target, constants):
     grad_norm = np.empty(T)
 
     rng = np.random.default_rng(config.seed)
-    chunk = 1 << 16
     for start in range(0, T, chunk):
         stop = min(start + chunk, T)
         block = stop - start
         draws = rng.random((block, 2 * batch))
         pair_idx = np.minimum(
             np.searchsorted(cum1, draws[:, :batch], side="right"), n_pairs - 1
-        )
+        ).tolist()
         state_idx = np.minimum(
-            np.searchsorted(cum2, draws[:, batch:], side="right"), n_states - 1
-        )
+            np.searchsorted(cum2, draws[:, batch:], side="right"), mdp.n_states - 1
+        ).tolist()
+        norms = grad_norm[start:stop]
         for i in range(block):
-            t = start + i
-            g = a_t @ np.sign(a_mat @ theta - target_vals)
-            if batch == 1:
-                y = state_idx[i, 0]
-                s2 = np.sign(float(flow_rows[y] @ theta) - nu0[y])
-                if s2 != 0.0:
-                    g = g + s2 * t2[y]
-                xa = pair_idx[i, 0]
-                if float(phi_arr[xa] @ theta) < 0.0:
-                    g = g - t3[xa]
-            else:
-                ys = state_idx[i]
-                s2 = np.sign(flow_rows[ys] @ theta - nu0[ys])
-                pen = s2 @ t2[ys]
-                xs = pair_idx[i]
-                neg = (phi_arr[xs] @ theta) < 0.0
-                if neg.any():
-                    pen = pen - t3[xs[neg]].sum(axis=0)
-                g = g + pen / batch
-            gn = math.sqrt(float(g @ g))
-            if gn > k_limit:
+            g = estimate(theta, pair_idx[i], state_idx[i])
+            gn = math.sqrt(g.dot(g))
+            if not gn <= k_limit:  # also catches a NaN estimate
                 raise RuntimeError(
-                    f"subgradient norm {gn} exceeded K={constants.k} at step {t + 1}"
+                    f"subgradient norm {gn} exceeded K={constants.k} "
+                    f"at step {start + i + 1}"
                 )
             theta = theta - eta * g
-            nrm_sq = float(theta @ theta)
+            nrm_sq = theta.dot(theta)
             if nrm_sq > rho_sq:
                 theta = theta * (rho / math.sqrt(nrm_sq))
             theta_sum += theta
+            iterates[i] = theta
+            norms[i] = gn
+        obj, v1, v2 = kernel.losses(iterates[:block])
+        loss_objective[start:stop] = obj
+        v1_col[start:stop] = v1
+        v2_col[start:stop] = v2
+        loss_total[start:stop] = obj + lam * (v1 + v2)
 
-            obj = float(np.abs(a_mat @ theta - target_vals).sum())
-            v1 = float(-np.minimum(phi_arr @ theta, 0.0).sum())
-            v2 = float(np.abs(flow_rows @ theta - nu0).sum())
-            loss_objective[t] = obj
-            v1_col[t] = v1
-            v2_col[t] = v2
-            loss_total[t] = obj + lam * (v1 + v2)
-            grad_norm[t] = gn
-
+    if not np.isfinite(theta_sum).all():  # the last step has no next-step guard
+        raise RuntimeError(f"iterate {T} is not finite")
     theta_avg = theta_sum / T
     trace = TrainingTrace(
         iteration=np.arange(1, T + 1),

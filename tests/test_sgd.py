@@ -25,8 +25,10 @@ from occupal import (
     flow_feature_rows,
     hoeffding_sample_size,
     make_chain,
+    make_gridworld,
     make_random_mdp,
     occupancy_of_policy,
+    policy_from_vector,
     project_l2_ball,
     region_indicator_basis,
     run_sgd_al,
@@ -35,6 +37,7 @@ from occupal import (
     stochastic_subgradient,
     subgradient_estimate,
     surrogate_loss,
+    value_iteration,
 )
 
 CHAIN = make_chain(0.5)
@@ -327,6 +330,152 @@ def test_batched_steps_stay_feasible():
     assert float(trace.theta_avg @ trace.theta_avg) <= 2.1**2 * (1 + 1e-12)
 
 
+def _reference_sgd(config, phi, basis, mdp, target, constants):
+    """The single-draw training loop with in-loop loss recording.
+
+    A straight loop that forms each estimate from scratch and records the
+    loss of every new iterate as it goes; run_sgd_al must match it bit for
+    bit.  Returns the trace columns, theta_avg and the first estimate.
+    """
+    phi_arr = np.asarray(phi.phi if hasattr(phi, "phi") else phi)
+    n_pairs, dim = phi_arr.shape
+    lam, eta, rho, T = config.lam, config.eta, config.rho, config.iterations
+    a_mat = basis.psi.T @ phi_arr
+    a_t = np.ascontiguousarray(a_mat.T)
+    flow_rows = flow_feature_rows(phi_arr, mdp)
+    nu0 = mdp.initial_dist
+    t2 = (lam / constants.q2)[:, None] * flow_rows
+    t3 = (lam / constants.q1)[:, None] * phi_arr
+    cum1, cum2 = np.cumsum(constants.q1), np.cumsum(constants.q2)
+    draws = np.random.default_rng(config.seed).random((T, 2))
+    pair_idx = np.minimum(
+        np.searchsorted(cum1, draws[:, :1], side="right"), n_pairs - 1
+    )
+    state_idx = np.minimum(
+        np.searchsorted(cum2, draws[:, 1:], side="right"), mdp.n_states - 1
+    )
+    theta, theta_sum = np.zeros(dim), np.zeros(dim)
+    cols = {
+        name: np.empty(T) for name in ("total", "objective", "v1", "v2", "grad_norm")
+    }
+    first = None
+    for t in range(T):
+        g = a_t @ np.sign(a_mat @ theta - target)
+        y = state_idx[t, 0]
+        s2 = np.sign(float(flow_rows[y] @ theta) - nu0[y])
+        if s2 != 0.0:
+            g = g + s2 * t2[y]
+        xa = pair_idx[t, 0]
+        if float(phi_arr[xa] @ theta) < 0.0:
+            g = g - t3[xa]
+        if first is None:
+            first = g
+        gn = math.sqrt(float(g @ g))
+        theta = theta - eta * g
+        nrm_sq = float(theta @ theta)
+        if nrm_sq > rho * rho:
+            theta = theta * (rho / math.sqrt(nrm_sq))
+        theta_sum += theta
+        obj = float(np.abs(a_mat @ theta - target).sum())
+        v1 = float(-np.minimum(phi_arr @ theta, 0.0).sum())
+        v2 = float(np.abs(flow_rows @ theta - nu0).sum())
+        cols["objective"][t] = obj
+        cols["v1"][t] = v1
+        cols["v2"][t] = v2
+        cols["total"][t] = obj + lam * (v1 + v2)
+        cols["grad_norm"][t] = gn
+    return cols, theta_sum / T, first, (int(pair_idx[0, 0]), int(state_idx[0, 0]))
+
+
+def _gridworld_setup():
+    mdp, cost = make_gridworld(4, 4, 0.9, 0.1)
+    basis = region_indicator_basis(mdp, 4)
+    phi = build_feature_matrix(mdp, 6, seed=31)
+    expert, _ = value_iteration(mdp, cost)
+    target = basis.psi.T @ occupancy_of_policy(mdp, expert).mass
+    lam = 10.0
+    return phi, basis, mdp, target, sampling_constants(phi, mdp, basis, lam), lam
+
+
+@pytest.mark.parametrize("instance", ["gridworld", "chain", "wide"])
+def test_training_matches_reference_loop_bit_for_bit(instance):
+    """Chunked recording and the shared estimator change no bit of the run.
+
+    Each run spans more than one chunk of steps and ends inside a chunk.
+    The wide instance has more state-action pairs than a chunk has steps,
+    so its losses are evaluated one iterate at a time.
+    """
+    if instance == "gridworld":
+        phi, basis, mdp, target, constants, lam = _gridworld_setup()
+        # a radius the iterates reach, so that projected steps are compared
+        cfg = SgdConfig(rho=0.5, lam=lam, eta=2e-4, iterations=9_000, seed=41)
+    elif instance == "wide":
+        mdp = make_random_mdp(80, 4, 0.9, seed=44)
+        phi = build_feature_matrix(mdp, 6, seed=45)
+        basis = state_action_indicator_basis(mdp)
+        target = basis.psi.T @ occupancy_of_policy(mdp, deterministic_policy(
+            mdp, np.zeros(mdp.n_states, dtype=int))).mass
+        lam = 3.0
+        constants = sampling_constants(phi, mdp, basis, lam)
+        cfg = SgdConfig(rho=0.5, lam=lam, eta=1e-3, iterations=500, seed=46)
+    else:
+        target, constants = _chain_setup()
+        phi, basis, mdp, lam = CHAIN_PHI, CHAIN_BASIS, CHAIN, 5.0
+        cfg = SgdConfig(rho=2.1, lam=lam, eta=2e-3, iterations=9_000, seed=42)
+    trace, policy = run_sgd_al(cfg, phi, basis, mdp, target, constants)
+    cols, theta_avg, first, (pair, state) = _reference_sgd(
+        cfg, phi, basis, mdp, target, constants
+    )
+    assert np.array_equal(trace.loss_total, cols["total"])
+    assert np.array_equal(trace.loss_objective, cols["objective"])
+    assert np.array_equal(trace.v1, cols["v1"])
+    assert np.array_equal(trace.v2, cols["v2"])
+    assert np.array_equal(trace.grad_norm, cols["grad_norm"])
+    assert np.array_equal(trace.theta_avg, theta_avg)
+    phi_arr = np.asarray(phi.phi if hasattr(phi, "phi") else phi)
+    expected_policy = policy_from_vector(phi_arr @ theta_avg, mdp)
+    assert np.array_equal(policy.probs, expected_policy.probs)
+    # the public estimator is the loop's estimator
+    g = subgradient_estimate(
+        np.zeros(phi_arr.shape[1]), phi, basis, mdp, target, lam, constants,
+        pair, state,
+    )
+    assert np.array_equal(g, first)
+
+
+def test_trace_never_records_negative_zero():
+    phi, basis, mdp, target, constants, lam = _gridworld_setup()
+    cfg = SgdConfig(rho=2.0, lam=lam, eta=2e-4, iterations=3_000, seed=43)
+    trace, _ = run_sgd_al(cfg, phi, basis, mdp, target, constants)
+    assert (trace.v1 == 0.0).any()  # rows with no negative mass occur
+    assert not np.signbit(trace.v1).any()
+
+
+def test_nonfinite_or_misshapen_target_is_rejected():
+    target, constants = _chain_setup()
+    cfg = SgdConfig(rho=2.1, lam=5.0, eta=1e-3, iterations=10, seed=0)
+    for values in ([1.8, np.nan], [1.8, np.inf], [1.8, 0.9, 0.0]):
+        bad = np.array(values)
+        with pytest.raises(ValueError, match="target"):
+            run_sgd_al(cfg, CHAIN_PHI, CHAIN_BASIS, CHAIN, bad, constants)
+        with pytest.raises(ValueError, match="target"):
+            subgradient_estimate(
+                np.zeros(4), CHAIN_PHI, CHAIN_BASIS, CHAIN, bad, 5.0, constants, 0, 0
+            )
+
+
+def test_nan_step_is_caught_by_the_norm_guard():
+    """A step so large that the iterate overflows makes the next estimate NaN."""
+    target, constants = _chain_setup()
+    cfg = SgdConfig(rho=2.1, lam=5.0, eta=1e308, iterations=10, seed=0)
+    last = SgdConfig(rho=2.1, lam=5.0, eta=1e308, iterations=1, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="at step 2"):
+            run_sgd_al(cfg, CHAIN_PHI, CHAIN_BASIS, CHAIN, target, constants)
+        with pytest.raises(RuntimeError, match="iterate 1 is not finite"):
+            run_sgd_al(last, CHAIN_PHI, CHAIN_BASIS, CHAIN, target, constants)
+
+
 def test_mismatched_penalty_weight_is_rejected():
     target, constants = _chain_setup(lam=2.0)
     cfg = SgdConfig(rho=2.1, lam=3.0, eta=1e-3, iterations=10, seed=0)
@@ -345,6 +494,11 @@ def test_config_validation():
         SgdConfig(rho=1.0, lam=1.0, eta=0.1, iterations=0, seed=0)
     with pytest.raises(ValueError):
         SgdConfig(rho=1.0, lam=1.0, eta=0.1, iterations=10, seed=0, batch_size=0)
+    for nan_field in ("rho", "lam", "eta"):
+        fields = dict(rho=1.0, lam=1.0, eta=0.1, iterations=10, seed=0)
+        fields[nan_field] = math.nan
+        with pytest.raises(ValueError, match=nan_field):
+            SgdConfig(**fields)
 
 
 def test_convergence_within_ten_percent_and_monotone_in_budget():
