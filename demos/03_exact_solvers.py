@@ -1,21 +1,24 @@
 """Two exact solvers, and an optimum no deterministic policy can reach.
 
-The feature-matching program is solved two independent ways: a revised
-simplex on the linear-program reformulation, started from a deterministic
-policy's vertex, and `subgradient_solve`, which chases the objective's
-sign cells with exact policy-iteration solves and, when those do not
-certify the optimum, runs a smoothed accelerated descent over the full
-state-action box with an exact penalty for the flow constraints.  They
-must agree to high precision.
+The feature-matching program is solved two ways: a revised simplex on
+the linear-program reformulation, started from a deterministic policy's
+vertex, and `subgradient_solve`, which runs column generation over the
+measures of deterministic policies and certifies its answer with a lower
+bound from exact policy-iteration solves.  They must agree to high
+precision, and the demo exits non-zero unless both `subgradient_solve`
+results are certified.
 
-The second instance shows why `subgradient_solve` needs its smoothed
-stage: with a dense cost basis the optimum can sit strictly inside a kink
-face of the objective, where the optimal policy mixes actions.  Every
-deterministic policy -- every vertex of the occupancy polytope -- is
-strictly worse there, so no sign cell certifies it.
+The second instance shows why `subgradient_solve` mixes policies: with a
+dense cost basis the optimum can sit strictly inside a kink face of the
+objective, where the optimal policy mixes actions.  Every deterministic
+policy -- every vertex of the occupancy polytope -- is strictly worse
+there, so only a mixture of policies' measures reaches the optimum, and
+only a pricing bound at a weight inside the box, not at a sign vector,
+certifies it.
 """
 
 import itertools
+import sys
 
 import numpy as np
 
@@ -40,8 +43,9 @@ sub = subgradient_solve(chain, basis, target)
 print(f"requested region profile {target} is infeasible (mass 2.7 vs 2.0),")
 print(f"so the best reachable gap is positive:")
 print(f"  simplex     : {lp.objective:.12f}  ({lp.method})")
-print(f"  subgradient : {sub.objective:.12f}  ({sub.method})")
+print(f"  subgradient : {sub.objective:.12f}  ({sub.method}, certified: {sub.certified})")
 print(f"  difference  : {abs(lp.objective - sub.objective):.2e}")
+certified = [sub.certified]
 
 print("\n== Instance 2: dense basis, mixed-action optimum ==")
 rng = np.random.default_rng(27)
@@ -53,8 +57,9 @@ dense_target = rng.uniform(-0.3, 1.5 / 0.2, 4)
 lp = exact_al_solve(mdp, dense, dense_target)
 sub = subgradient_solve(mdp, dense, dense_target)
 print(f"  simplex     : {lp.objective:.12f}")
-print(f"  subgradient : {sub.objective:.12f}")
+print(f"  subgradient : {sub.objective:.12f}  (certified: {sub.certified})")
 print(f"  difference  : {abs(lp.objective - sub.objective):.2e}")
+certified.append(sub.certified)
 
 best_det = float("inf")
 for actions in itertools.product(range(mdp.n_actions), repeat=mdp.n_states):
@@ -72,3 +77,6 @@ print(f"states where the recovered optimal policy mixes: {mixed}")
 print("action probabilities by state:")
 for s in range(mdp.n_states):
     print(f"  state {s}: {np.round(probs[s], 4)}")
+
+if not all(certified):
+    sys.exit("a subgradient_solve result is not certified")

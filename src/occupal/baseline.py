@@ -6,12 +6,14 @@ a vertex of that polytope, so the method starts from one and needs no
 phase 1; it prices by Dantzig's rule and falls back to Bland's rule on
 runs of degenerate pivots, so it terminates without cycling.
 
-An independent cross-check of the optimum shares no code with the simplex.
-It first chases the objective's sign cells (subgradients of the l1 norm)
-with exact policy-iteration solves, which certifies any optimum that a
-deterministic policy attains.  Otherwise it minimizes a smoothed copy of
-the objective, plus an exact l1 penalty for the flow equalities, by
-accelerated projected gradient over the full state-action box.
+A cross-check of the optimum, `subgradient_solve`, runs column generation
+over the deterministic policies' measures: a master of n_costs + 1 rows
+finds the best mixture of the policies found so far, and an exact
+policy-iteration solve prices the next one.  Every pricing solve also
+bounds the optimum from below, so each result says whether it is
+certified.  The master shares the simplex core with `exact_al_solve`, but
+a certificate does not rest on it: the gap is recomputed from the mixed
+measure and the bound comes from the policy-iteration solves alone.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extraction import policy_from_vector
 from .features import _vector_of
 from .mdp import (
     OccupancyMeasure,
@@ -129,7 +130,8 @@ def _revised_simplex(costs, a, b, basis):
     cost (Dantzig).  After _DEGENERATE_RUN degenerate pivots in a row,
     Bland's lowest-index rule picks both the entering and the leaving
     column until the objective moves again, so the method cannot cycle.
-    Returns (x, objective).
+    Returns (x, objective, basis, duals), where `duals` is c_B B^-1 on the
+    final basis.
     """
     basis = np.array(basis, dtype=np.intp)
 
@@ -158,7 +160,7 @@ def _revised_simplex(costs, a, b, basis):
                 check_feasible(x_b, "final")
                 x = np.zeros(a.shape[1])
                 x[basis] = x_b
-                return x, float(costs @ x)
+                return x, float(costs @ x), basis, costs[basis] @ inv
             inv, x_b = factorise()
             since_refactor = 0
             continue
@@ -231,6 +233,33 @@ def _l1_program(mdp, psi, b_target):
     return costs, a_eq, b_eq
 
 
+def _target_vector(basis, target):
+    """The target as a float vector; raises ValueError unless it has one
+    finite entry per basis column."""
+    b_target = _vector_of(target)
+    if b_target.shape != (basis.n_costs,) or not np.all(np.isfinite(b_target)):
+        raise ValueError(
+            f"target must be {basis.n_costs} finite numbers, got {b_target!r}"
+        )
+    return b_target
+
+
+def _sign_probe(mdp, psi, b_target):
+    """The deterministic policy minimizing s . Psi^T mu, where s holds the
+    signs of the uniform policy's residual.  Returns (s, actions, measure).
+    """
+    uniform = occupancy_of_policy(mdp, uniform_policy(mdp)).mass
+    signs = np.where(psi.T @ uniform - b_target >= 0.0, 1.0, -1.0)
+    return (signs, *_optimal_occupancy_for_cost(mdp, psi @ signs))
+
+
+def _split_columns(residual, offset):
+    """Per feature row, u_i where residual r_i >= 0 and v_i otherwise, for
+    u and v columns numbered from `offset`: the basic split of a vertex."""
+    nc = residual.size
+    return np.where(residual >= 0.0, offset, offset + nc) + np.arange(nc)
+
+
 def _warm_start_basis(mdp, psi, b_target):
     """A feasible starting basis of `_l1_program`, no phase 1 needed.
 
@@ -238,16 +267,12 @@ def _warm_start_basis(mdp, psi, b_target):
     the flow rows, which is invertible, and give pi's occupancy measure.
     Each feature row then takes u_i when pi's residual r_i >= 0 and v_i
     otherwise, so the basis matrix is block-triangular and nonsingular,
-    and its solution (mu_pi, |r|) is nonnegative.  The policy is the one
-    minimizing s . Psi^T mu for the uniform policy's residual signs s.
+    and its solution (mu_pi, |r|) is nonnegative.  The policy is
+    `_sign_probe`'s.
     """
-    n, nc = psi.shape
-    uniform = occupancy_of_policy(mdp, uniform_policy(mdp)).mass
-    signs = np.where(psi.T @ uniform - b_target >= 0.0, 1.0, -1.0)
-    actions, mu = _optimal_occupancy_for_cost(mdp, psi @ signs)
-    residual = psi.T @ mu.mass - b_target
-    splits = np.where(residual >= 0.0, n, n + nc) + np.arange(nc)
+    _, actions, mu = _sign_probe(mdp, psi, b_target)
     pairs = np.arange(mdp.n_states) * mdp.n_actions + actions
+    splits = _split_columns(psi.T @ mu.mass - b_target, psi.shape[0])
     return np.concatenate([pairs, splits])
 
 
@@ -264,14 +289,9 @@ def exact_al_solve(mdp, basis, target):
             f"exact solve guarded to {_MAX_EXACT_PAIRS} pairs, got {mdp.n_pairs}"
         )
     psi = basis.psi
-    b_target = _vector_of(target)
-    if b_target.shape != (basis.n_costs,) or not np.all(np.isfinite(b_target)):
-        raise ValueError(
-            f"target must be {basis.n_costs} finite numbers, got {b_target!r}"
-        )
-
+    b_target = _target_vector(basis, target)
     costs, a_eq, b_eq = _l1_program(mdp, psi, b_target)
-    x, objective = _revised_simplex(
+    x, objective, _, _ = _revised_simplex(
         costs, a_eq, b_eq, _warm_start_basis(mdp, psi, b_target)
     )
     mu = np.clip(x[: mdp.n_pairs], 0.0, None)
@@ -316,118 +336,67 @@ def _optimal_occupancy_for_cost(mdp, cost):
     return actions, occupancy_of_policy(mdp, deterministic_policy(mdp, actions))
 
 
-def _smoothed_descent(a_mat, a_t, rhs, hi, x0, on_stage):
-    """Accelerated projected gradient on a smoothed copy of the residual.
-
-    Replaces |r| by the Huber function of width eps (quadratic inside
-    [-eps, eps], linear outside), minimizes over the box by accelerated
-    projected gradient steps, and shrinks eps tenfold per continuation
-    stage (Nesterov 2005).  `on_stage(x)` receives the iterate after every
-    stage.  The whole schedule is deterministic.
-    """
-    v = np.full(a_mat.shape[1], 1.0 / math.sqrt(a_mat.shape[1]))
-    lam_max = 1.0
-    for _ in range(100):
-        v = a_t @ (a_mat @ v)
-        lam_max = float(np.linalg.norm(v))
-        if lam_max <= 1e-30:
-            return
-        v /= lam_max
-    lam_max *= 1.05  # power iteration approaches the top eigenvalue from below
-    x = x0.copy()
-    scale = max(1.0, float(np.abs(a_mat @ x - rhs).sum()))
-    eps = 1e-2 * scale
-    while eps > 1e-10 * scale:
-        step = eps / lam_max
-        y, x_prev, tk = x.copy(), x.copy(), 1.0
-        for _ in range(4000):
-            res = a_mat @ y - rhs
-            grad = a_t @ np.minimum(np.maximum(res / eps, -1.0), 1.0)
-            x_new = np.minimum(np.maximum(y - step * grad, 0.0), hi)
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * tk * tk))
-            diff = x_new - x_prev
-            y = x_new + ((tk - 1.0) / t_next) * diff
-            move = float(np.abs(diff).max())
-            x_prev, tk = x_new, t_next
-            if move < 1e-2 * step:
-                break
-        x = x_prev
-        on_stage(x)
-        eps *= 0.1
-
-
 def subgradient_solve(mdp, basis, target, iterations=None):
-    """Independent solve of the same program over the full variable space.
+    """Certified solve of the same program by column generation.
 
-    The objective is a maximum of linear functions indexed by sign
-    vectors.  The solve first polishes the uniform policy's measure: its
-    residual sign cell s yields an exact policy-iteration minimizer of the
-    linear function s . (Psi^T mu - target), giving a feasible upper bound
-    and a certified lower bound at once, and the next cell is chased from
-    there.  It returns when the two bounds meet.
+    The objective is convex and the occupancy polytope is the convex hull
+    of the deterministic policies' measures, so the optimum is a mixture
+    of them (Dantzig-Wolfe).  The restricted master
 
-    When they do not meet -- the minimizing face can be a kink whose every
-    point mixes actions, so no deterministic-policy probe reaches it -- a
-    smoothed accelerated descent (`_smoothed_descent`) minimizes the
-    feature gap plus an exact l1 penalty on the flow equalities over the
-    box [0, 1/(1-g)]^n, which contains the polytope, from the same start.
-    After each smoothing stage the iterate is repaired onto the polytope
-    through its policy and polished again.
+        min sum(u + v)  s.t.  sum_j lam_j Psi^T mu_j - u + v = target,
+                              sum_j lam_j = 1,  lam, u, v >= 0
 
-    The result's `lower_bound` is the best polish bound, so `certified`
-    tells whether the objective is proven optimal.  `iterations` is
-    accepted for compatibility and ignored: the smoothing schedule fixes
-    its own number of steps.
+    has n_costs + 1 rows whatever the MDP's size.  The first column is
+    `_sign_probe`'s policy.  Each round re-solves the master with the
+    revised simplex from its previous optimal basis, then prices with one
+    exact policy-iteration solve (`_optimal_occupancy_for_cost`) of the
+    cost Psi w, where w = -y clipped to [-1, 1]^n_costs and y holds the
+    master's feature-row duals.  Every w in that box bounds the optimum
+    from below by w . (Psi^T mu_new - target), and the best such bound is
+    the result's `lower_bound`.  The solve stops when the bound certifies
+    the master's mixture, or, uncertified, when pricing returns a policy
+    already in the master.  Each round adds a new deterministic policy,
+    so it terminates.
+
+    The result is the mixture sum_j lam_j mu_j.  `iterations` is ignored;
+    it is kept because the benchmark harness still passes it.
     """
+    del iterations
     psi = basis.psi
-    b_target = _vector_of(target)
+    b_target = _target_vector(basis, target)
+    nc = basis.n_costs
+    rhs = np.append(b_target, 1.0)
+    splits = np.hstack([-np.eye(nc), np.eye(nc)])
 
-    best_mu = occupancy_of_policy(mdp, uniform_policy(mdp))
-    best_gap = float(np.abs(psi.T @ best_mu.mass - b_target).sum())
-    best_lower = 0.0  # the gap is nonnegative
-    probed = set()
-
-    def polish(u):
-        """Chase the sign cells reachable from u with exact linear solves."""
-        nonlocal best_mu, best_gap, best_lower
-        residual = psi.T @ np.clip(u, 0.0, None) - b_target
-        for _ in range(8):
-            s = np.where(residual >= 0.0, 1.0, -1.0)
-            key = s.tobytes()
-            if key in probed:
-                return
-            probed.add(key)
-            _, mu_s = _optimal_occupancy_for_cost(mdp, psi @ s)
-            lower = float(s @ (psi.T @ mu_s.mass - b_target))
-            if lower > best_lower:
-                best_lower = lower
-            residual = psi.T @ mu_s.mass - b_target
-            gap = float(np.abs(residual).sum())
-            if gap < best_gap:
-                best_mu, best_gap = mu_s, gap
-
-    def repair(u):
-        nonlocal best_mu, best_gap
-        mu = occupancy_of_policy(mdp, policy_from_vector(u, mdp))
-        gap = float(np.abs(psi.T @ mu.mass - b_target).sum())
-        if gap < best_gap:
-            best_mu, best_gap = mu, gap
-        polish(u)
-
-    x = best_mu.mass.copy()
-    polish(x)
-    if not _certifies(best_gap, best_lower):
-        # exact-penalty weight: moving any box point onto the polytope costs
-        # at most flow_gap/(1-g) in l1, and the objective is Lipschitz with
-        # constant sum_i ||psi_i||_inf, so this weight dominates the repair
-        pen = float(np.abs(psi).max(axis=0).sum()) / (1.0 - mdp.discount) + 1.0
-        # one stacked residual map: rows are the basis columns then the
-        # penalty-weighted flow rows, so each step is two small matvecs
-        a_mat = np.vstack([psi.T, pen * _flow_matrix(mdp)])
-        a_t = np.ascontiguousarray(a_mat.T)
-        rhs = np.concatenate([b_target, pen * mdp.initial_dist])
-        _smoothed_descent(a_mat, a_t, rhs, 1.0 / (1.0 - mdp.discount), x, repair)
-    return ExactSolution(best_mu, best_gap, "full-subgradient", best_lower)
+    signs, actions, mu = _sign_probe(mdp, psi, b_target)
+    residual = psi.T @ mu.mass - b_target
+    lower = max(0.0, float(signs @ residual))  # the gap is nonnegative
+    seen = {actions.tobytes()}
+    measures = [mu.mass]
+    master = np.concatenate([[0], _split_columns(residual, 1)])
+    while True:
+        k = len(measures)
+        mass = np.array(measures)
+        a = np.vstack([
+            np.hstack([psi.T @ mass.T, splits]),
+            np.concatenate([np.ones(k), np.zeros(2 * nc)]),
+        ])
+        costs = np.concatenate([np.zeros(k), np.ones(2 * nc)])
+        x, _, master, duals = _revised_simplex(costs, a, rhs, master)
+        lam = np.clip(x[:k], 0.0, None)  # renormalised, a convex mixture
+        mixture = (lam / lam.sum()) @ mass
+        gap = float(np.abs(psi.T @ mixture - b_target).sum())
+        if _certifies(gap, lower):
+            break
+        w = np.clip(-duals[:nc], -1.0, 1.0)
+        actions, mu = _optimal_occupancy_for_cost(mdp, psi @ w)
+        lower = max(lower, float(w @ (psi.T @ mu.mass - b_target)))
+        if actions.tobytes() in seen:
+            break
+        seen.add(actions.tobytes())
+        measures.append(mu.mass)
+        master = np.where(master >= k, master + 1, master)
+    return ExactSolution(OccupancyMeasure(mixture), gap, "full-subgradient", lower)
 
 
 def regret_report(trained, exact, inputs):

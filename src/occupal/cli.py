@@ -384,7 +384,9 @@ def _check_baseline_agreement(rng):
     lp = exact_al_solve(mdp, basis, target)
     sub = subgradient_solve(mdp, basis, target)
     gap = abs(lp.objective - sub.objective)
-    return gap <= 1e-4, f"|simplex - subgradient| = {gap:.2e}"
+    return gap <= 1e-4 and sub.certified, (
+        f"|simplex - subgradient| = {gap:.2e}, certified: {sub.certified}"
+    )
 
 
 _VERIFY_CHECKS = (

@@ -369,7 +369,7 @@ def certified_schedule(epsilon, delta, rho, d, n_costs, gamma, k, psi_inf_norm=1
     """
     if not (0.0 < epsilon < 1.0) or not (0.0 < delta < 1.0):
         raise ValueError(f"accuracy pair ({epsilon}, {delta}) outside (0, 1)^2")
-    if rho <= 0 or d < 1 or k <= 0:
+    if not (rho > 0 and d >= 1 and k > 0):  # NaN fails every comparison
         raise ValueError("need rho > 0, d >= 1, k > 0")
     lam = 1.0 / epsilon
     m = hoeffding_sample_size(n_costs, gamma, epsilon, delta)

@@ -2,11 +2,11 @@
 
 exact_al_solve minimizes the l1 feature-matching gap over the occupancy
 polytope with a revised simplex method that starts from a deterministic
-policy's vertex; subgradient_solve reaches the same optimum by sign-cell
-polish and, where that does not certify, smoothed accelerated descent
-over the box with an exact-penalty flow term.  Both are checked against
-each other, against hand-solvable instances, and against brute sampling
-of the polytope, and their certificates are checked for honesty.
+policy's vertex; subgradient_solve reaches the same optimum by column
+generation over deterministic policies' measures and certifies it with
+the bounds its pricing solves give.  Both are checked against each
+other, against hand-solvable instances, and against brute sampling of
+the polytope, and their certificates are checked for honesty.
 """
 
 import math
@@ -57,6 +57,19 @@ def _dense_instance(seed):
     return mdp, CostBasis(psi / psi.max()), rng.uniform(-0.3, 1.5 / 0.2, 4)
 
 
+def _random_40x4():
+    """A 40-state, 4-action random MDP with a dense 8-column basis."""
+    mdp = make_random_mdp(40, 4, 0.9, seed=5)
+    rng = np.random.default_rng(5)
+    psi = rng.uniform(0.0, 1.0, (mdp.n_pairs, 8))
+    return mdp, CostBasis(psi / psi.max()), rng.uniform(0.0, 10.0, 8)
+
+
+_BAD_TARGETS = [
+    (1, [1.0, 1.0, 1.0]), (2, [2.0]), (1, [[2.0]]), (1, [np.nan]), (2, [1.0, np.inf]),
+]
+
+
 # ---------------------------------------------------------------------------
 # the simplex core
 
@@ -66,9 +79,10 @@ def test_simplex_solves_hand_lp():
     costs = np.array([-1.0, -2.0, 0.0])
     a_eq = np.array([[1.0, 1.0, 1.0]])
     b_eq = np.array([1.0])
-    x, value = _revised_simplex(costs, a_eq, b_eq, [2])  # start at the slack
+    x, value, basis, duals = _revised_simplex(costs, a_eq, b_eq, [2])  # start at the slack
     assert value == pytest.approx(-2.0, abs=1e-12)
     assert np.abs(x - [0.0, 1.0, 0.0]).max() < 1e-12
+    assert list(basis) == [1] and duals == pytest.approx([-2.0], abs=1e-12)
 
 
 def test_simplex_detects_unboundedness():
@@ -91,7 +105,7 @@ def test_simplex_terminates_on_a_cycling_example(monkeypatch, bland_from_start):
         [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0],
         [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
     ])
-    x, value = _revised_simplex(costs, a_eq, np.array([0.0, 0.0, 1.0]), [0, 1, 2])
+    x, value, _, _ = _revised_simplex(costs, a_eq, np.array([0.0, 0.0, 1.0]), [0, 1, 2])
     assert value == pytest.approx(-1.25, abs=1e-12)
     assert np.abs(a_eq @ x - [0.0, 0.0, 1.0]).max() < 1e-12
     assert x.min() >= 0.0
@@ -209,10 +223,7 @@ def test_expert_target_on_gridworlds(width, n_blocks, discount, slip):
     assert flow_gap <= 1e-8
 
 
-@pytest.mark.parametrize(
-    "n_blocks,target",
-    [(1, [1.0, 1.0, 1.0]), (2, [2.0]), (1, [[2.0]]), (1, [np.nan]), (2, [1.0, np.inf])],
-)
+@pytest.mark.parametrize("n_blocks,target", _BAD_TARGETS)
 def test_exact_solver_validates_the_target(n_blocks, target):
     basis = region_indicator_basis(CHAIN, n_blocks)
     with pytest.raises(ValueError, match="target"):
@@ -260,7 +271,7 @@ def test_subgradient_solver_on_known_instance():
 
 def test_subgradient_solver_on_dense_bases():
     # dense bases can put the optimum strictly inside a kink face that no
-    # deterministic policy touches; the smoothed refinement must find it
+    # deterministic policy touches; a mixture of policies must reach it
     rng = np.random.default_rng(77)
     for trial in range(2):
         mdp = make_random_mdp(6, 3, 0.8, seed=500 + trial)
@@ -281,14 +292,38 @@ def test_subgradient_solver_on_dense_bases():
     ids=["gridworld-10x10", "gridworld-4x4", "dense-seed-17"],
 )
 def test_subgradient_solver_reaches_hard_optima(instance):
-    # the gridworlds' optima are zero-gap faces the sign-cell polish does
-    # not reach from the uniform start; seed 17's optimum mixes actions
+    # the gridworlds' optima are zero-gap faces that the first sign-cell
+    # probe does not reach; seed 17's optimum mixes actions
     mdp, basis, target = instance()
     lp = exact_al_solve(mdp, basis, target)
     sub = subgradient_solve(mdp, basis, target)
     assert abs(lp.objective - sub.objective) <= 1e-4
     neg, flow_gap = flow_residual(mdp, sub.mu_star.mass)
     assert neg <= 1e-12 and flow_gap <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "instance", [lambda: _expert_gridworld(16), _random_40x4],
+    ids=["gridworld-16x16", "random-40x4"],
+)
+def test_subgradient_solver_certifies_larger_instances(instance):
+    # the smoothed descent this solver once ended with left these 1.1e-4
+    # and 6.0e-3 above the optimum, uncertified
+    mdp, basis, target = instance()
+    lp = exact_al_solve(mdp, basis, target)
+    sub = subgradient_solve(mdp, basis, target)
+    assert sub.certified
+    assert abs(lp.objective - sub.objective) <= 1e-9 * max(1.0, lp.objective)
+    assert sub.lower_bound <= lp.objective + 1e-9
+    neg, flow_gap = flow_residual(mdp, sub.mu_star.mass)
+    assert neg <= 1e-12 and flow_gap <= 1e-8
+
+
+@pytest.mark.parametrize("n_blocks,target", _BAD_TARGETS)
+def test_subgradient_solver_validates_the_target(n_blocks, target):
+    basis = region_indicator_basis(CHAIN, n_blocks)
+    with pytest.raises(ValueError, match="target"):
+        subgradient_solve(CHAIN, basis, np.array(target))
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +352,17 @@ def test_polish_certifies_a_deterministic_optimum():
     assert abs(lp.objective - sub.objective) <= 1e-9 * max(1.0, lp.objective)
 
 
-@pytest.mark.parametrize("seed", [27, 11])
-def test_mixed_optimum_is_not_certified(seed):
-    # no sign cell's policy-iteration bound reaches a mixed optimum, so the
-    # solve must not claim one; seed 11's objective is also visibly off
+@pytest.mark.parametrize("seed", [27, 11, 0, 3])
+def test_mixed_optimum_is_certified(seed):
+    # every deterministic policy is strictly worse than these optima, so
+    # only a mixture of policies reaches them and only a pricing bound at a
+    # non-sign weight certifies them
     mdp, basis, target = _dense_instance(seed)
     lp = exact_al_solve(mdp, basis, target)
     sub = subgradient_solve(mdp, basis, target)
-    assert sub.lower_bound <= lp.objective <= sub.objective
-    assert not sub.certified
+    assert sub.lower_bound <= lp.objective + 1e-9
+    assert sub.certified
+    assert abs(lp.objective - sub.objective) <= 1e-9 * max(1.0, lp.objective)
 
 
 def test_missing_lower_bound_is_not_certified():

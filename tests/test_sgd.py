@@ -580,3 +580,9 @@ def test_schedule_rejects_bad_inputs():
         certified_schedule(0.5, 0.5, 1.0, 0, 1, 0.5, k=1.0)
     with pytest.raises(ValueError):
         certified_schedule(0.5, 0.5, 1.0, 2, 1, 0.5, k=0.0)
+
+
+@pytest.mark.parametrize("rho,k", [(math.nan, 3.0), (1.0, math.nan)])
+def test_schedule_rejects_nan_inputs(rho, k):
+    with pytest.raises(ValueError, match="need rho > 0, d >= 1, k > 0"):
+        certified_schedule(0.5, 0.5, rho, 2, 1, 0.5, k=k)
