@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +67,38 @@ def hoeffding_sample_size(n_costs, gamma, epsilon, delta):
     )
 
 
-def _inverse_cdf_rows(cumulative, row_indices, draws):
-    # First column whose cumulative weight exceeds the draw; the last
-    # column is pinned at 1.0 upstream so a hit always exists.
-    return (cumulative[row_indices] > draws[:, None]).argmax(axis=1)
+def _support_table(cumulative):
+    """The columns at which each cumulative row rises above all before it.
+
+    Returns (values, columns), each of shape (width, n_rows): slot j of a
+    row holds its j-th rising column and that column's cumulative weight,
+    and rows with fewer rising columns are padded with weight 2.  The first
+    column whose weight exceeds a draw u in [0, 1) exceeds every column
+    before it, so it is the first rising column above u, and its slot is
+    the number of rising weights <= u.  The last column is pinned at 1.0,
+    so every row's last rising weight is >= 1 and that slot always exists.
+    fmax skips NaN weights, which never exceed a draw.
+    """
+    before = np.zeros_like(cumulative)
+    before[:, 1:] = cumulative[:, :-1]
+    np.fmax.accumulate(before, axis=1, out=before)
+    rows, cols = np.nonzero(cumulative > before)
+    counts = np.bincount(rows, minlength=len(cumulative))
+    slots = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    values = np.full((int(counts.max()), len(cumulative)), 2.0)
+    columns = np.zeros(values.shape, dtype=np.int64)
+    values[slots, rows] = cumulative[rows, cols]
+    columns[slots, rows] = cols
+    return values, columns
+
+
+def _draw(table, rows, draws):
+    """First column of each given row whose cumulative weight exceeds its draw."""
+    values, columns = table
+    slots = np.zeros(len(rows), dtype=np.int64)
+    for level in values[:-1]:  # the last slot is never <= a draw
+        slots += level.take(rows) <= draws
+    return columns.ravel().take(slots * columns.shape[1] + rows)
 
 
 def sample_trajectories(mdp, policy, m, horizon, seed):
@@ -81,30 +108,44 @@ def sample_trajectories(mdp, policy, m, horizon, seed):
     Each rollout consumes its own RNG stream spawned from (seed, rollout
     index), so the batch can be generated in parallel chunks without
     changing the result; the stepping itself is vectorized across rollouts.
+    A step draws the first action (next state) whose cumulative probability
+    exceeds a uniform draw, searching only the support table of each
+    policy (transition) row: the columns where the row's cumulative weight
+    rises, one per greedy policy row and at most four per gridworld
+    transition row.
     """
     if m < 1 or horizon < 1:
         raise ValueError(f"need m >= 1 and horizon >= 1, got ({m}, {horizon})")
+    probs = np.asarray(policy.probs)
+    if probs.shape != (mdp.n_states, mdp.n_actions):
+        raise ValueError(
+            f"policy shape {probs.shape} != ({mdp.n_states}, {mdp.n_actions})"
+        )
+    if not np.all(np.isfinite(probs)) or np.any(probs < 0):
+        raise ValueError("policy probabilities must be finite and nonnegative")
     streams = np.random.SeedSequence(seed).spawn(m)
-    uniforms = np.empty((m, 2 * horizon + 1))
+    uniforms = np.empty((2 * horizon + 1, m))  # row j: draw j of every rollout
     for k, ss in enumerate(streams):
-        uniforms[k] = np.random.default_rng(ss).random(2 * horizon + 1)
+        uniforms[:, k] = np.random.default_rng(ss).random(2 * horizon + 1)
 
     cum_init = np.cumsum(mdp.initial_dist)
     cum_init[-1] = 1.0
-    cum_policy = np.cumsum(policy.probs, axis=1)
+    cum_policy = np.cumsum(probs, axis=1)
     cum_policy[:, -1] = 1.0
     cum_trans = np.cumsum(mdp.transition, axis=1)
     cum_trans[:, -1] = 1.0
+    policy_table = _support_table(cum_policy)
+    trans_table = _support_table(cum_trans)
 
     out = np.empty((m, horizon, 2), dtype=np.int64)
-    states = np.searchsorted(cum_init, uniforms[:, 0], side="right")
+    states = np.searchsorted(cum_init, uniforms[0], side="right")
     states = np.minimum(states, mdp.n_states - 1)
     for t in range(horizon):
-        actions = _inverse_cdf_rows(cum_policy, states, uniforms[:, 1 + 2 * t])
+        actions = _draw(policy_table, states, uniforms[1 + 2 * t])
         out[:, t, 0] = states
         out[:, t, 1] = actions
         pair_rows = states * mdp.n_actions + actions
-        states = _inverse_cdf_rows(cum_trans, pair_rows, uniforms[:, 2 + 2 * t])
+        states = _draw(trans_table, pair_rows, uniforms[2 + 2 * t])
     return out
 
 
@@ -114,12 +155,24 @@ def empirical_feature_expectation(trajectories, basis, discount, n_actions):
     `trajectories` is the (m, H, 2) array from sample_trajectories (or a
     list of equal-length trajectories).  Entries of the estimate never
     exceed (1 - g^H) / (1 - g) in magnitude for a sup-norm-bounded basis.
+    Raises ValueError for an action outside [0, n_actions), a negative
+    state, or a pair index s * n_actions + a past the basis's rows.
     """
     batch = np.asarray(trajectories, dtype=np.int64)
     if batch.ndim != 3 or batch.shape[2] != 2:
         raise ValueError(f"expected shape (m, H, 2), got {batch.shape}")
     m, horizon = batch.shape[0], batch.shape[1]
+    n_rows = basis.psi.shape[0]
+    if batch.size:
+        # Read as unsigned, a negative index is huge: one max checks both ends.
+        unsigned = batch.view(np.uint64)
+        if unsigned[:, :, 1].max() >= n_actions:
+            raise ValueError(f"trajectory holds an action outside [0, {n_actions})")
+        if unsigned[:, :, 0].max() >= n_rows:
+            raise ValueError(f"trajectory holds a negative state or one >= {n_rows} basis rows")
     flat = batch[:, :, 0] * n_actions + batch[:, :, 1]
+    if batch.size and flat.max() >= n_rows:
+        raise ValueError(f"trajectory pair index {flat.max()} >= {n_rows} basis rows")
     weights = discount ** np.arange(horizon)
     values = np.einsum("mhc,h->c", basis.psi[flat], weights) / m
     tail = discount**horizon / (1.0 - discount)
@@ -129,9 +182,27 @@ def empirical_feature_expectation(trajectories, basis, discount, n_actions):
 # ---------------------------------------------------------------------------
 # persistence: one trajectory per line, space-separated "state:action" tokens
 
-# One trajectory line.  Eighteen digits at most, so that every index fits an
-# int64: np.fromstring saturates an overflowing integer instead of failing.
-_TRAJECTORY_LINE = re.compile(rb"\d{1,18}:\d{1,18}(?:[ \t]+\d{1,18}:\d{1,18})*")
+# The loader reads a file in blocks of whole lines and classifies its bytes.
+# Class order matters: every class above _EOL needs the slower edge and
+# comment pass.  \v and \f are whitespace that bytes.strip removes at a
+# line's ends but that may not separate tokens.
+_DIGIT, _COLON, _BLANK, _EOL, _EDGE, _HASH, _OTHER = range(7)
+_CLASS_OF = {
+    **dict.fromkeys(b"0123456789", _DIGIT),
+    **dict.fromkeys(b" \t", _BLANK),
+    **dict.fromkeys(b"\n\r", _EOL),
+    **dict.fromkeys(b"\v\f", _EDGE),
+    ord(":"): _COLON,
+    ord("#"): _HASH,
+}
+_BYTE_CLASSES = bytes(_CLASS_OF.get(byte, _OTHER) for byte in range(256))
+# The temporaries of a block take about 25 bytes per byte of the block, so
+# each stays under 128 KB.  On a 4.4 MB file, 32 KB and 64 KB blocks were
+# 10% faster but raised the process's peak resident set by 2-3 MB, and so
+# does the first call of np.unique (1.5 MB), which the loader avoids.
+_BLOCK_BYTES = 1 << 14
+# At most eighteen digits per index, so that every index fits an int64.
+_MAX_DIGITS = 18
 
 
 def save_trajectories(path, trajectories, header=None):
@@ -170,29 +241,115 @@ def load_trajectories(path):
     of tokens; blank lines and lines starting with `#` are skipped, and
     leading or trailing whitespace and `\\r\\n` line ends are ignored.
     Raises ValueError for a file with no trajectory, a malformed token or
-    lines of different lengths.
+    lines of different lengths; a malformed token is reported with the
+    number of its trajectory line (comments and blank lines not counted).
+
+    The file is checked and parsed in numpy, in blocks of whole lines of
+    about 16 KB, so that the temporary arrays stay small next to the result.
     """
     with open(path, "rb") as fh:
         text = fh.read()
-    rows = [
-        line
-        for line in map(bytes.strip, text.splitlines())
-        if line and not line.startswith(b"#")
-    ]
-    if not rows:
+    raw = np.frombuffer(text, dtype=np.uint8)
+    classes = np.frombuffer(text.translate(_BYTE_CLASSES), dtype=np.uint8)
+    # Ends of line, with one before the first byte and one after the last,
+    # so that every line, the last included, lies between two.
+    ends = np.concatenate([[-1], np.flatnonzero(classes == _EOL), [raw.size]])
+
+    # Each token holds one colon, so twice the colons bound the indices.
+    values = np.empty(2 * text.count(b":"), dtype=np.int64)
+    n_values = n_rows = 0
+    lengths = set()
+    # Each block ends at the first end of line past a multiple of
+    # _BLOCK_BYTES, so it holds whole lines and about that many bytes.
+    marks = np.arange(_BLOCK_BYTES, raw.size, _BLOCK_BYTES)
+    bounds = sorted({0, *np.searchsorted(ends, marks).tolist(), ends.size - 1})
+    for first, last in zip(bounds[:-1], bounds[1:]):
+        lo, hi = ends[first], ends[last]
+        block = np.empty(hi - lo + 1, dtype=np.uint8)
+        block[0] = block[-1] = _EOL
+        block[1:-1] = classes[lo + 1 : hi]
+        numbers, tokens = _parse_block(raw, lo, block, ends[first : last + 1] - lo, n_rows, path)
+        values[n_values : n_values + numbers.size] = numbers
+        n_values += numbers.size
+        n_rows += tokens.size
+        lengths.update(tokens.tolist())
+    if n_rows == 0:
         raise ValueError(f"no trajectories in {path}")
-    for number, line in enumerate(rows, 1):
-        if _TRAJECTORY_LINE.fullmatch(line) is None:
-            raise ValueError(
-                f"malformed trajectory {number} in {path}: {line[:60]!r}"
-            )
-    lengths = {line.count(b":") for line in rows}
     if len(lengths) != 1:
         raise ValueError(f"mixed trajectory lengths {sorted(lengths)} in {path}")
-    values = np.fromstring(
-        b" ".join(rows).replace(b":", b" "), dtype=np.int64, sep=" "
+    return values[:n_values].reshape(n_rows, -1, 2)
+
+
+def _parse_block(raw, offset, block, eols, rows_before, path):
+    """Check and parse one block of lines.
+
+    `block` holds the classes of raw[offset + 1 : offset + len(block) - 1]
+    between two end-of-line marks, and `eols` the positions of its ends of
+    line, those two included.  Once comments and edge whitespace are
+    blanked, a line is valid if it holds only digits, colons and blanks;
+    every colon sits between two digits; every digit run has at most 18
+    digits; and the bytes after the digit runs alternate colon, not colon.
+    That is the grammar `D:D([ \\t]+D:D)*` with D = [0-9]{1,18}.  Valid
+    lines hold an even number of runs, so the alternation restarts at each
+    line after them and the first line that breaks a rule is the first
+    malformed line.  Returns the block's indices and its number of tokens
+    per trajectory.
+    """
+    if block.max() > _EOL:
+        _mark_edges_and_comments(raw, offset, block, eols)
+    edges = np.flatnonzero(np.diff(block == _DIGIT))
+    edges += 1
+    starts, stops = edges[0::2], edges[1::2]
+    widths = stops - starts
+    pairs = block[stops] == _COLON
+    pairs[1::2] ^= True
+    colons = np.flatnonzero(block == _COLON)
+    bad = np.concatenate(
+        [
+            np.flatnonzero(block > _EOL),
+            starts[(widths > _MAX_DIGITS) | ~pairs],
+            colons[(block[colons - 1] != _DIGIT) | (block[colons + 1] != _DIGIT)],
+        ]
     )
-    return values.reshape(len(rows), -1, 2)
+    if bad.size:
+        first = bad.min()
+        line = np.searchsorted(eols, first)
+        head = block[: eols[line - 1]]
+        solid = np.flatnonzero((head != _BLANK) & (head != _EOL))
+        number = rows_before + np.count_nonzero(np.bincount(np.searchsorted(eols, solid))) + 1
+        text = raw[offset + eols[line - 1] + 1 : offset + eols[line]].tobytes().strip()
+        raise ValueError(f"malformed trajectory {number} in {path}: {text[:60]!r}")
+
+    numbers = raw[offset + starts].astype(np.int64)
+    numbers -= 48
+    for k in range(1, int(widths.max(initial=0))):
+        longer = np.flatnonzero(widths > k)
+        numbers[longer] = numbers[longer] * 10 + (raw[offset + starts[longer] + k] - 48)
+    tokens = np.diff(np.searchsorted(colons, eols))
+    return numbers, tokens[tokens > 0]
+
+
+def _mark_edges_and_comments(raw, offset, block, eols):
+    """Blank out comment lines and edge whitespace, in place.
+
+    Only lines holding `#`, \\v or \\f need this.  bytes.strip decides
+    what a line keeps: a comment line keeps a first byte `#`, and a \\v or
+    \\f that it keeps is marked `other`.
+    """
+    marked = np.flatnonzero(block > _EOL)
+    for line in np.flatnonzero(np.bincount(np.searchsorted(eols, marked))).tolist():
+        lo, hi = eols[line - 1] + 1, eols[line]
+        text = raw[offset + lo : offset + hi].tobytes()
+        kept = text.strip()
+        if kept.startswith(b"#"):
+            block[lo:hi] = _BLANK
+            continue
+        head = lo + len(text) - len(text.lstrip())
+        tail = head + len(kept)
+        block[lo:head] = _BLANK
+        block[tail:hi] = _BLANK
+        inner = block[head:tail]
+        inner[inner == _EDGE] = _OTHER
 
 
 def estimator_to_json(est):

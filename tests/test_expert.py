@@ -9,12 +9,14 @@ Frozen derived values:
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from occupal import (
     CostBasis,
+    Mdp,
     Policy,
     default_horizon,
     deterministic_policy,
@@ -27,8 +29,15 @@ from occupal import (
     sample_trajectories,
     save_trajectories,
     state_action_indicator_basis,
+    value_iteration,
 )
-from occupal.expert import estimator_from_json, estimator_to_json
+from occupal import expert
+from occupal.expert import (
+    _draw,
+    _support_table,
+    estimator_from_json,
+    estimator_to_json,
+)
 
 CHAIN = make_chain(0.5)
 STAY = deterministic_policy(CHAIN, [0, 0])
@@ -108,6 +117,96 @@ def test_indices_stay_in_range():
     assert batch[:, :, 1].min() >= 0 and batch[:, :, 1].max() < 3
 
 
+def _reference_sample(mdp, policy, m, horizon, seed):
+    """The dense inverse-CDF sampler that sample_trajectories must match bit
+    for bit: every step compares each draw with its whole cumulative row."""
+    streams = np.random.SeedSequence(seed).spawn(m)
+    uniforms = np.empty((m, 2 * horizon + 1))
+    for k, ss in enumerate(streams):
+        uniforms[k] = np.random.default_rng(ss).random(2 * horizon + 1)
+    cum_init = np.cumsum(mdp.initial_dist)
+    cum_init[-1] = 1.0
+    cum_policy = np.cumsum(policy.probs, axis=1)
+    cum_policy[:, -1] = 1.0
+    cum_trans = np.cumsum(mdp.transition, axis=1)
+    cum_trans[:, -1] = 1.0
+    out = np.empty((m, horizon, 2), dtype=np.int64)
+    states = np.searchsorted(cum_init, uniforms[:, 0], side="right")
+    states = np.minimum(states, mdp.n_states - 1)
+    for t in range(horizon):
+        actions = (cum_policy[states] > uniforms[:, 1 + 2 * t, None]).argmax(axis=1)
+        out[:, t, 0] = states
+        out[:, t, 1] = actions
+        pair_rows = states * mdp.n_actions + actions
+        states = (cum_trans[pair_rows] > uniforms[:, 2 + 2 * t, None]).argmax(axis=1)
+    return out
+
+
+# Ten weights of 0.1 sum to 0.9999999999999999 in floating point, so a draw
+# just below 1 falls past them onto the zero-mass last column, pinned at 1.
+_SHORT_ROW = np.array([0.1] * 10 + [0.0])
+
+
+def _pinned_column_mdp():
+    transition = np.zeros((22, 2))
+    transition[:, 0] = 0.5
+    transition[:, 1] = 0.5
+    transition[0] = [1.0, 0.0]  # (state 0, action 0) stays in state 0
+    return Mdp(2, 11, transition, 0.9, np.array([0.5, 0.5]))
+
+
+def _sampler_cases():
+    small, cost = make_gridworld(4, 4, 0.9, 0.1)
+    yield "4x4-expert", small, value_iteration(small, cost)[0], 500, 219
+    large, _ = make_gridworld(12, 12, 0.9, 0.1)
+    uniform = Policy(np.full((large.n_states, large.n_actions), 0.25))
+    yield "12x12-uniform", large, uniform, 300, 120
+    dense = make_random_mdp(30, 5, 0.9, seed=21)
+    weights = np.random.default_rng(22).exponential(size=(30, 5))
+    yield "dense-random", dense, Policy(weights / weights.sum(axis=1, keepdims=True)), 400, 60
+    pinned = _pinned_column_mdp()
+    yield "pinned-column", pinned, Policy(np.tile(_SHORT_ROW, (2, 1))), 400, 40
+
+
+@pytest.mark.parametrize("case", list(_sampler_cases()), ids=lambda case: case[0])
+def test_sampler_matches_dense_reference_bit_for_bit(case):
+    _, mdp, policy, m, horizon = case
+    for seed in (23, 24):
+        expected = _reference_sample(mdp, policy, m, horizon, seed)
+        assert np.array_equal(sample_trajectories(mdp, policy, m, horizon, seed), expected)
+
+
+def test_support_table_matches_dense_search_at_the_edges():
+    """Draws on every cumulative weight, just below each, 0 and just below
+    1, including those that land on the pinned zero-mass column."""
+    rows = np.vstack([_SHORT_ROW, [0.0, 0.0, 0.5, 0.0, 0.5, 0, 0, 0, 0, 0, 0],
+                      np.eye(11)[3], np.eye(11)[10], np.full(11, 1.0 / 11)])
+    cumulative = np.cumsum(rows, axis=1)
+    cumulative[:, -1] = 1.0
+    draws = np.unique(np.concatenate(
+        [cumulative.ravel(), np.nextafter(cumulative.ravel(), 0.0), [0.0]]))
+    draws = draws[draws < 1.0]
+    assert np.nextafter(1.0, 0.0) in draws and cumulative[0, -2] < 1.0
+    table = _support_table(cumulative)
+    for row in range(len(rows)):
+        index = np.full(draws.size, row)
+        expected = (cumulative[index] > draws[:, None]).argmax(axis=1)
+        assert np.array_equal(_draw(table, index, draws), expected), row
+    assert np.array_equal(_draw(table, np.zeros(1, dtype=np.int64),
+                                np.array([np.nextafter(1.0, 0.0)])), [10])
+
+
+def test_sampler_rejects_bad_policies():
+    grid, _ = make_gridworld(4, 4, 0.9, 0.1)
+    good = np.full((16, 4), 0.25)
+    nan, negative = good.copy(), good.copy()
+    nan[3, 1] = np.nan
+    negative[5] = [1.5, -0.5, 0.0, 0.0]
+    for probs in (np.full((3, 4), 0.25), np.full((16, 5), 0.2), nan, negative):
+        with pytest.raises(ValueError):
+            sample_trajectories(grid, Policy(probs), m=2, horizon=3, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # the estimator
 
@@ -142,6 +241,20 @@ def test_estimate_magnitude_envelope():
     est = empirical_feature_expectation(batch, basis, 0.85, 3)
     envelope = (1.0 - 0.85**30) / 0.15
     assert np.abs(est.values).max() <= envelope + 1e-12
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [[[[0, 4], [1, 0]]], [[[-1, 0]]], [[[16, 0]]], [[[0, -1]]], [[[2**62, 0]]]],
+    ids=["action-4", "state-minus-1", "state-16", "action-minus-1", "state-2^62"],
+)
+def test_estimator_rejects_indices_outside_the_mdp(batch):
+    grid, _ = make_gridworld(4, 4, 0.9, 0.1)
+    basis = state_action_indicator_basis(grid)
+    with pytest.raises(ValueError):
+        empirical_feature_expectation(batch, basis, 0.9, grid.n_actions)
+    edge = empirical_feature_expectation([[[15, 3], [0, 0]]], basis, 0.9, 4)
+    assert edge.values[63] == 1.0 and edge.values[0] == 0.9
 
 
 def test_variance_halves_when_sample_quadruples():
@@ -249,6 +362,121 @@ def test_trajectory_loader_rejects_ragged_lines(tmp_path):
     path.write_text("0:1 1:0\n0:1\n")
     with pytest.raises(ValueError):
         load_trajectories(path)
+
+
+# The regex loader that load_trajectories must match in what it accepts,
+# what it returns and what it reports.
+_REFERENCE_LINE = re.compile(rb"\d{1,18}:\d{1,18}(?:[ \t]+\d{1,18}:\d{1,18})*")
+
+
+def _reference_load(path):
+    with open(path, "rb") as fh:
+        text = fh.read()
+    rows = [
+        line
+        for line in map(bytes.strip, text.splitlines())
+        if line and not line.startswith(b"#")
+    ]
+    if not rows:
+        raise ValueError(f"no trajectories in {path}")
+    for number, line in enumerate(rows, 1):
+        if _REFERENCE_LINE.fullmatch(line) is None:
+            raise ValueError(f"malformed trajectory {number} in {path}: {line[:60]!r}")
+    lengths = {line.count(b":") for line in rows}
+    if len(lengths) != 1:
+        raise ValueError(f"mixed trajectory lengths {sorted(lengths)} in {path}")
+    numbers = [int(n) for line in rows for n in re.findall(rb"\d+", line)]
+    return np.array(numbers, dtype=np.int64).reshape(len(rows), -1, 2)
+
+
+_NOISE = [b"0", b"7", b"12", b"00", b":", b" ", b"\t", b"\n", b"\r", b"\r\n", b"#",
+          b"\v", b"\f", b"x", b"-", b"\x00", b"\xff", b"3:4"]
+
+
+def _fuzz_file(rng):
+    """Byte soup, or lines of tokens with stray bytes, odd whitespace, long
+    numbers, comments and mixed line ends; one file in eight holds hundreds
+    of lines and may hold one bad line somewhere in it."""
+    pick = lambda options: options[int(rng.integers(len(options)))]  # noqa: E731
+    kind = int(rng.integers(8))
+    if kind == 0:
+        return b"".join(pick(_NOISE) for _ in range(int(rng.integers(40))))
+    n_lines = int(rng.integers(260, 520)) if kind == 1 else int(rng.integers(8))
+    width, lines = int(rng.integers(1, 5)), []
+    for _ in range(n_lines):
+        roll = rng.random()
+        if roll < 0.08:
+            lines.append(b"#" + b"".join(pick(_NOISE) for _ in range(int(rng.integers(8)))))
+            continue
+        if roll < 0.12:
+            lines.append(b"".join(pick([b" ", b"\t", b"\v", b"\f"]) for _ in range(int(rng.integers(4)))))
+            continue
+        tokens = []
+        for _ in range(width if rng.random() < 0.9 else int(rng.integers(1, 5))):
+            digits = int(rng.integers(1, 21)) if rng.random() < 0.1 else 0
+            state = (bytes(rng.integers(48, 58, digits).astype(np.uint8)) if digits
+                     else str(rng.integers(150)).encode())
+            tokens.append(state + b":" + str(rng.integers(4)).encode())
+            tokens.append(pick([b" ", b"  ", b"\t", b" \t"]) if rng.random() < 0.97
+                          else pick([b"\v", b"", b",", b" \f "]))
+        line = b"".join(tokens[:-1] if rng.random() < 0.5 else tokens)
+        line = pick([b"", b"", b" ", b"\t ", b"\v", b"\f \v"]) + line + pick(
+            [b"", b"", b" ", b"\t", b"\f", b" \v "])
+        if kind != 1 and line and rng.random() < 0.15:
+            at = int(rng.integers(len(line)))
+            line = line[:at] + pick(_NOISE) + line[at + 1 :]
+        lines.append(line)
+    if kind == 1 and rng.random() < 0.5:
+        at = int(rng.integers(len(lines)))
+        lines[at] += pick([b" 1", b":", b"x", b" #"])
+    text = b"".join(line + pick([b"\n", b"\r\n", b"\r", b"\n\n"]) for line in lines)
+    return text.rstrip(b"\r\n") if rng.random() < 0.3 else text
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except ValueError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 48], ids=["default-blocks", "48-byte-blocks"])
+def test_trajectory_loader_matches_reference_on_fuzz_corpus(tmp_path, monkeypatch, block_bytes):
+    """With 48-byte blocks every multi-line file spans several blocks."""
+    if block_bytes is not None:
+        monkeypatch.setattr(expert, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(25)
+    path = tmp_path / "fuzz.txt"
+    accepted = 0
+    for k in range(800):
+        path.write_bytes(_fuzz_file(rng))
+        expected, actual = _outcome(_reference_load, path), _outcome(load_trajectories, path)
+        if isinstance(expected, str):
+            assert actual == expected, (k, path.read_bytes()[:200])
+        else:
+            accepted += 1
+            assert isinstance(actual, np.ndarray), (k, actual)
+            assert actual.dtype == np.int64 and actual.shape == expected.shape, k
+            assert np.array_equal(actual, expected), k
+    assert 80 <= accepted <= 720  # both outcomes are well represented
+
+
+def test_trajectory_loader_names_a_bad_line_in_a_later_block(tmp_path):
+    """A file of several blocks with a bad line past the first one; comment
+    and blank lines are not counted in the reported trajectory number."""
+    rng = np.random.default_rng(26)
+    rows = [" ".join(f"{s}:{a}" for s, a in zip(rng.integers(0, 150, 40), rng.integers(0, 4, 40)))
+            for _ in range(500)]
+    rows[349] = rows[349][:-1] + "x"
+    text = "# header\n" + "\n".join(rows[:100]) + "\n\n# middle\n" + "\n".join(rows[100:]) + "\n"
+    assert expert._BLOCK_BYTES < text.index("x") < len(text) - expert._BLOCK_BYTES
+    path = tmp_path / "late.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=rf"malformed trajectory 350 in .*: b'{rows[349][:60]}'"):
+        load_trajectories(path)
+    rows[349] = rows[349][:-1] + "2"
+    path.write_text("\n".join(rows) + "\n")
+    assert np.array_equal(load_trajectories(path), _reference_load(path))
 
 
 def test_estimator_json_round_trip():
