@@ -155,13 +155,16 @@ def empirical_feature_expectation(trajectories, basis, discount, n_actions):
     `trajectories` is the (m, H, 2) array from sample_trajectories (or a
     list of equal-length trajectories).  Entries of the estimate never
     exceed (1 - g^H) / (1 - g) in magnitude for a sup-norm-bounded basis.
-    Raises ValueError for an action outside [0, n_actions), a negative
-    state, or a pair index s * n_actions + a past the basis's rows.
+    Raises ValueError for an empty batch (m = 0), an action outside
+    [0, n_actions), a negative state, or a pair index s * n_actions + a
+    past the basis's rows.
     """
     batch = np.asarray(trajectories, dtype=np.int64)
     if batch.ndim != 3 or batch.shape[2] != 2:
         raise ValueError(f"expected shape (m, H, 2), got {batch.shape}")
     m, horizon = batch.shape[0], batch.shape[1]
+    if m == 0:
+        raise ValueError("an estimate needs at least one trajectory, got m = 0")
     n_rows = basis.psi.shape[0]
     if batch.size:
         # Read as unsigned, a negative index is huge: one max checks both ends.

@@ -272,15 +272,30 @@ def _dump_json(path, blob):
         fh.write("\n")
 
 
+# Rows formatted per block: Python objects for all 50k rows of a run at
+# once would hold about 8 MB.
+_CSV_BLOCK_ROWS = 1 << 10
+
+
 def _write_trace_csv(path, trace, master_seed, seed):
+    columns = (trace.iteration, trace.loss_total, trace.loss_objective, trace.v1, trace.v2)
+    norms = np.asarray(trace.grad_norm, dtype=float)
+    norm_bits = norms.view(np.int64)
     with open(path, "w") as fh:
         fh.write(f"# master_seed={master_seed} stage_seed={seed}\n")
         fh.write("iteration,loss_total,loss_objective,v1,v2,grad_norm\n")
-        for i in range(trace.iteration.size):
-            fh.write(
-                f"{int(trace.iteration[i])},{float(trace.loss_total[i])!r},"
-                f"{float(trace.loss_objective[i])!r},{float(trace.v1[i])!r},"
-                f"{float(trace.v2[i])!r},{float(trace.grad_norm[i])!r}\n"
+        for lo in range(0, norm_bits.size, _CSV_BLOCK_ROWS):
+            rows = slice(lo, lo + _CSV_BLOCK_ROWS)
+            # A run's gradient norms take few distinct values: format each
+            # bit pattern once (keying by bits keeps 0.0 and -0.0 apart).
+            bits = norm_bits[rows].tolist()
+            distinct = dict(zip(bits, norms[rows].tolist()))
+            texts = {b: repr(x) for b, x in distinct.items()}
+            fh.writelines(
+                f"{i},{total!r},{objective!r},{v1!r},{v2!r},{texts[b]}\n"
+                for i, total, objective, v1, v2, b in zip(
+                    *(column[rows].tolist() for column in columns), bits
+                )
             )
 
 

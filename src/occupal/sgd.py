@@ -10,10 +10,15 @@ of radius rho and their running mean is the returned solution.
 
 One estimator, _Estimator, built once per run, forms every estimate: the
 training loop steps with it and subgradient_estimate wraps it, so the
-exhaustive unbiasedness checks test the code that trains.  The loop keeps
-the iterates of each chunk of steps in a fixed buffer and records their
-losses with one batched evaluation per chunk, bit for bit equal to the
-loss computed right after each step.
+exhaustive unbiasedness checks test the code that trains.  An estimate
+depends on the iterate only through a few signs (of the cost residuals,
+of each drawn state's flow residual, of each drawn pair's measure), and
+a run meets few distinct sign keys, so the estimator memoises each key's
+(norm, step) and forms an estimate only for a new key.  The loop forms
+theta . theta only when an upper bound on the iterate's norm reaches rho.
+The loop keeps the iterates of each chunk of steps in a fixed buffer,
+adds them to the running sum and records their losses once per chunk,
+bit for bit equal to the sum and the losses formed after each step.
 """
 
 from __future__ import annotations
@@ -159,17 +164,24 @@ def exact_subgradient(theta, phi, basis, mdp, target, lam):
     return g
 
 
+# Bound on the floats the step memo holds, counting each entry as its sign
+# key, its step and 40 floats' worth of Python objects: about 256 KB.
+_MEMO_ELEMENTS = 1 << 15
+
+
 class _Estimator:
     """The subgradient estimator and loss recorder of one problem instance.
 
     Built once from (Phi, Psi, target, lam, q1, q2): A = Psi^T Phi, the flow
     rows of Phi, and the penalty rows t2 = lam/q2 * flow and t3 = lam/q1 *
-    Phi, each scaled by 1/batch.  `estimate` is the only code that forms a
-    subgradient estimate; `losses` evaluates stored iterates in a way that
-    reproduces the one-at-a-time loss bit for bit.
+    Phi, each scaled by 1/batch.  `_signs` finds every sign an estimate
+    branches on and `_from_signs` forms the estimate from them; `estimate`
+    and the memoised `step` are built on these two alone.  `losses`
+    evaluates stored iterates in a way that reproduces the one-at-a-time
+    loss bit for bit.
     """
 
-    def __init__(self, phi_arr, basis, mdp, target, lam, q1, q2, batch=1):
+    def __init__(self, phi_arr, basis, mdp, target, lam, q1, q2, batch=1, eta=1.0):
         target = _vector_of(target)
         if target.shape != (basis.n_costs,) or not np.isfinite(target).all():
             raise ValueError(
@@ -188,6 +200,48 @@ class _Estimator:
         self.t2_rows = list((scale / q2)[:, None] * self.flow)
         self.phi_rows = list(phi_arr)
         self.t3_rows = list((scale / q1)[:, None] * phi_arr)
+        self.eta = eta
+        self._memo = {}
+        self._memo_cap = max(
+            1, _MEMO_ELEMENTS // (basis.n_costs + self.a_t.shape[0] + 40)
+        )
+
+    def _signs(self, theta, pairs, states):
+        """(sign(A theta - target), key): everything an estimate reads of theta.
+
+        The key holds the bytes of the cost-residual signs, then a code per
+        drawn state (y for a positive flow residual, ~y for a negative one,
+        None for zero) and per drawn pair (xa for a negative measure, None
+        otherwise), in draw order.
+        """
+        # ndarray.dot calls the same BLAS routines as @ with half the call
+        # overhead on operands this small
+        cost_signs = np.sign(self.a_mat.dot(theta) - self.target)
+        key = [cost_signs.tobytes()]
+        flow_rows, nu0 = self.flow_rows, self.nu0_list
+        for y in states:
+            r = float(flow_rows[y].dot(theta)) - nu0[y]
+            key.append(y if r > 0.0 else ~y if r < 0.0 else None)
+        phi_rows = self.phi_rows
+        for xa in pairs:
+            key.append(xa if float(phi_rows[xa].dot(theta)) < 0.0 else None)
+        return cost_signs, tuple(key)
+
+    def _from_signs(self, cost_signs, key, n_states):
+        """The estimate whose signs _signs returned for n_states drawn states."""
+        g = self.a_t.dot(cost_signs)
+        t2_rows, t3_rows = self.t2_rows, self.t3_rows
+        for code in key[1 : 1 + n_states]:
+            if code is None:
+                continue
+            if code >= 0:
+                g += t2_rows[code]
+            else:
+                g -= t2_rows[~code]
+        for code in key[1 + n_states :]:
+            if code is not None:
+                g -= t3_rows[code]
+        return g
 
     def estimate(self, theta, pairs, states):
         """Estimate at theta from one batch of drawn pairs and states.
@@ -195,21 +249,25 @@ class _Estimator:
         The penalty rows carry the 1/batch factor, so this is the mean of
         the single-draw estimates.
         """
-        # ndarray.dot calls the same BLAS routines as @ with half the call
-        # overhead on operands this small
-        g = self.a_t.dot(np.sign(self.a_mat.dot(theta) - self.target))
-        flow_rows, nu0, t2_rows = self.flow_rows, self.nu0_list, self.t2_rows
-        for y in states:
-            r = float(flow_rows[y].dot(theta)) - nu0[y]
-            if r > 0.0:
-                g += t2_rows[y]
-            elif r < 0.0:
-                g -= t2_rows[y]
-        phi_rows, t3_rows = self.phi_rows, self.t3_rows
-        for xa in pairs:
-            if float(phi_rows[xa].dot(theta)) < 0.0:
-                g -= t3_rows[xa]
-        return g
+        cost_signs, key = self._signs(theta, pairs, states)
+        return self._from_signs(cost_signs, key, len(states))
+
+    def step(self, theta, pairs, states, memoise):
+        """(||g||, eta * g) for the estimate g at theta.
+
+        With memoise, the pair is formed once per sign key while the memo
+        has room and reused after, so every value is one that estimate and
+        the unmemoised step compute.  Callers pass memoise=False for an
+        iterate that is not finite: its key must not meet a stored one.
+        """
+        cost_signs, key = self._signs(theta, pairs, states)
+        hit = self._memo.get(key) if memoise else None
+        if hit is None:
+            g = self._from_signs(cost_signs, key, len(states))
+            hit = (math.sqrt(g.dot(g)), self.eta * g)
+            if memoise and len(self._memo) < self._memo_cap:
+                self._memo[key] = hit
+        return hit
 
     def losses(self, iterates):
         """(objective, v1, v2) of each row of a C-contiguous (n, d) array."""
@@ -280,6 +338,10 @@ def run_sgd_al(config, phi, basis, mdp, target, constants):
     new iterate is recorded once per chunk of steps from the stored
     iterates.  Returns the trace (whose theta_avg is the mean of iterates
     1..T) and the policy extracted from Phi theta_avg.
+
+    Each step takes (norm, eta * estimate) from the estimator's memoised
+    step, keyed by the signs the estimate branches on, so every value is
+    one that the unmemoised step computes.
     """
     if abs(constants.lam - config.lam) > 1e-12 * max(1.0, config.lam):
         raise ValueError(
@@ -291,18 +353,25 @@ def run_sgd_al(config, phi, basis, mdp, target, constants):
     batch = config.batch_size
     T = config.iterations
     kernel = _Estimator(
-        phi_arr, basis, mdp, target, lam, constants.q1, constants.q2, batch
+        phi_arr, basis, mdp, target, lam, constants.q1, constants.q2, batch, eta
     )
-    estimate = kernel.estimate
+    step = kernel.step
     cum1 = np.cumsum(constants.q1)
     cum2 = np.cumsum(constants.q2)
     k_limit = constants.k * (1.0 + 1e-9)
     rho_sq = rho * rho
     chunk = max(1, _CHUNK_ELEMENTS // n_pairs)
+    inf = math.inf
+    # The rounding of a step (the update, eta * norm, the bound's own sums)
+    # and of a dot product is a few dim ulps, below this slack, so
+    # bound < rho implies that theta . theta <= rho^2 as computed.
+    slack = 1.0 + max(1e-12, 16.0 * dim * np.finfo(float).eps)
 
     theta = np.zeros(dim)
     theta_sum = np.zeros(dim)
-    iterates = np.empty((min(chunk, T), dim))
+    # row 0: the running sum before the chunk; rows 1..: the chunk's iterates
+    iterates = np.empty((min(chunk, T) + 1, dim))
+    bound = 0.0  # upper bound on ||theta||; inf or NaN once theta overflows
     loss_total = np.empty(T)
     loss_objective = np.empty(T)
     v1_col = np.empty(T)
@@ -320,27 +389,31 @@ def run_sgd_al(config, phi, basis, mdp, target, constants):
         state_idx = np.minimum(
             np.searchsorted(cum2, draws[:, batch:], side="right"), mdp.n_states - 1
         ).tolist()
-        norms = grad_norm[start:stop]
-        for i in range(block):
-            g = estimate(theta, pair_idx[i], state_idx[i])
-            gn = math.sqrt(g.dot(g))
+        iterates[0] = theta_sum
+        norms = []
+        for t, (pairs, states) in enumerate(zip(pair_idx, state_idx), start + 1):
+            gn, eta_g = step(theta, pairs, states, bound < inf)
             if not gn <= k_limit:  # also catches a NaN estimate
                 raise RuntimeError(
-                    f"subgradient norm {gn} exceeded K={constants.k} "
-                    f"at step {start + i + 1}"
+                    f"subgradient norm {gn} exceeded K={constants.k} at step {t}"
                 )
-            theta = theta - eta * g
-            nrm_sq = theta.dot(theta)
-            if nrm_sq > rho_sq:
-                theta = theta * (rho / math.sqrt(nrm_sq))
-            theta_sum += theta
-            iterates[i] = theta
-            norms[i] = gn
-        obj, v1, v2 = kernel.losses(iterates[:block])
+            theta = theta - eta_g
+            bound = (bound + eta * gn) * slack
+            if not bound < rho:
+                nrm_sq = theta.dot(theta)
+                if nrm_sq > rho_sq:
+                    theta = theta * (rho / math.sqrt(nrm_sq))
+                bound = math.sqrt(nrm_sq) * slack  # projecting only shrinks theta
+            iterates[t - start] = theta
+            norms.append(gn)
+        # accumulate adds row after row, in the order of theta_sum += theta
+        theta_sum = np.add.accumulate(iterates[: block + 1])[-1]
+        obj, v1, v2 = kernel.losses(iterates[1 : block + 1])
         loss_objective[start:stop] = obj
         v1_col[start:stop] = v1
         v2_col[start:stop] = v2
         loss_total[start:stop] = obj + lam * (v1 + v2)
+        grad_norm[start:stop] = norms
 
     if not np.isfinite(theta_sum).all():  # the last step has no next-step guard
         raise RuntimeError(f"iterate {T} is not finite")

@@ -257,6 +257,16 @@ def test_estimator_rejects_indices_outside_the_mdp(batch):
     assert edge.values[63] == 1.0 and edge.values[0] == 0.9
 
 
+def test_estimator_rejects_an_empty_batch():
+    grid, _ = make_gridworld(4, 4, 0.9, 0.1)
+    basis = state_action_indicator_basis(grid)
+    for horizon in (0, 219):
+        with pytest.raises(ValueError, match="m = 0"):
+            empirical_feature_expectation(
+                np.zeros((0, horizon, 2), dtype=np.int64), basis, 0.9, grid.n_actions
+            )
+
+
 def test_variance_halves_when_sample_quadruples():
     """Monte Carlo scaling: std of the estimate at 4m is half that at m,
     within 20% over 50 repetitions.

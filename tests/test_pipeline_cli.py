@@ -29,10 +29,11 @@ from occupal.pipeline import (
     ARTIFACT_NAMES,
     ExperimentConfig,
     PipelineError,
+    _write_trace_csv,
     run_experiment,
     stage_seed,
 )
-from occupal.sgd import certified_schedule
+from occupal.sgd import TrainingTrace, certified_schedule
 
 
 def chain_config(out_dir, seed=7, **overrides):
@@ -167,6 +168,36 @@ def test_trajectories_round_trip(tmp_path):
     assert np.array_equal(recomputed.values, np.array(estimate_blob["values"]))
     assert recomputed.m == estimate_blob["m"]
     assert recomputed.truncation_bound == estimate_blob["truncation_bound"]
+
+
+def _reference_trace_csv(path, trace, master_seed, seed):
+    """The row-at-a-time trace writer that _write_trace_csv must match."""
+    with open(path, "w") as fh:
+        fh.write(f"# master_seed={master_seed} stage_seed={seed}\n")
+        fh.write("iteration,loss_total,loss_objective,v1,v2,grad_norm\n")
+        for i in range(trace.iteration.size):
+            fh.write(
+                f"{int(trace.iteration[i])},{float(trace.loss_total[i])!r},"
+                f"{float(trace.loss_objective[i])!r},{float(trace.v1[i])!r},"
+                f"{float(trace.v2[i])!r},{float(trace.grad_norm[i])!r}\n"
+            )
+
+
+def test_trace_csv_matches_the_row_writer_byte_for_byte(tmp_path):
+    """Signed zeros, nan, infinities, a subnormal and repeats in every column."""
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, 1.0 / 3.0]
+    rng = np.random.default_rng(5)
+    columns = [
+        np.array(special * 3 + list(rng.normal(0.0, 1e3, 40)))[rng.permutation(64)]
+        for _ in range(5)
+    ]
+    trace = TrainingTrace(np.arange(1, 65), *columns, theta_avg=np.zeros(2))
+    for column in columns:
+        assert np.signbit(column[column == 0.0]).any()
+        assert not np.signbit(column[column == 0.0]).all()
+    _write_trace_csv(tmp_path / "new.csv", trace, 7, 11)
+    _reference_trace_csv(tmp_path / "ref.csv", trace, 7, 11)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_stage_seed_derivation():

@@ -11,10 +11,12 @@ within 10% of it.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from occupal import sgd
 from occupal import (
     LossBreakdown,
     SgdConfig,
@@ -443,6 +445,150 @@ def test_training_matches_reference_loop_bit_for_bit(instance):
     assert np.array_equal(g, first)
 
 
+def _wide_setup():
+    mdp = make_random_mdp(80, 4, 0.9, seed=44)
+    phi = build_feature_matrix(mdp, 6, seed=45)
+    basis = state_action_indicator_basis(mdp)
+    target = basis.psi.T @ occupancy_of_policy(mdp, deterministic_policy(
+        mdp, np.zeros(mdp.n_states, dtype=int))).mass
+    lam = 3.0
+    return phi, basis, mdp, target, sampling_constants(phi, mdp, basis, lam), lam
+
+
+def _batched_reference(config, phi, basis, mdp, target, constants):
+    """The training loop without the step memo or the norm bound.
+
+    Every step forms its estimate from the estimator's rows with the
+    branches written out, as the estimator did before it kept sign keys,
+    forms theta . theta and adds theta to the running sum; losses are
+    recorded per chunk from a fixed buffer.  Returns the trace columns,
+    theta_avg, the policy and the number of projected steps.
+    """
+    phi_arr = np.asarray(phi.phi if hasattr(phi, "phi") else phi)
+    n_pairs, dim = phi_arr.shape
+    lam, eta, rho = config.lam, config.eta, config.rho
+    batch, T = config.batch_size, config.iterations
+    kernel = sgd._Estimator(
+        phi_arr, basis, mdp, target, lam, constants.q1, constants.q2, batch
+    )
+
+    def estimate(theta, pairs, states):
+        g = kernel.a_t.dot(np.sign(kernel.a_mat.dot(theta) - kernel.target))
+        for y in states:
+            r = float(kernel.flow_rows[y].dot(theta)) - kernel.nu0_list[y]
+            if r > 0.0:
+                g += kernel.t2_rows[y]
+            elif r < 0.0:
+                g -= kernel.t2_rows[y]
+        for xa in pairs:
+            if float(kernel.phi_rows[xa].dot(theta)) < 0.0:
+                g -= kernel.t3_rows[xa]
+        return g
+
+    cum1, cum2 = np.cumsum(constants.q1), np.cumsum(constants.q2)
+    chunk = max(1, sgd._CHUNK_ELEMENTS // n_pairs)
+    theta, theta_sum = np.zeros(dim), np.zeros(dim)
+    iterates = np.empty((min(chunk, T), dim))
+    cols = {name: np.empty(T) for name in ("total", "objective", "v1", "v2", "grad_norm")}
+    projected = 0
+    rng = np.random.default_rng(config.seed)
+    for start in range(0, T, chunk):
+        stop = min(start + chunk, T)
+        block = stop - start
+        draws = rng.random((block, 2 * batch))
+        pair_idx = np.minimum(
+            np.searchsorted(cum1, draws[:, :batch], side="right"), n_pairs - 1
+        ).tolist()
+        state_idx = np.minimum(
+            np.searchsorted(cum2, draws[:, batch:], side="right"), mdp.n_states - 1
+        ).tolist()
+        for i in range(block):
+            g = estimate(theta, pair_idx[i], state_idx[i])
+            cols["grad_norm"][start + i] = math.sqrt(g.dot(g))
+            theta = theta - eta * g
+            nrm_sq = theta.dot(theta)
+            if nrm_sq > rho * rho:
+                theta = theta * (rho / math.sqrt(nrm_sq))
+                projected += 1
+            theta_sum += theta
+            iterates[i] = theta
+        obj, v1, v2 = kernel.losses(iterates[:block])
+        cols["objective"][start:stop] = obj
+        cols["v1"][start:stop] = v1
+        cols["v2"][start:stop] = v2
+        cols["total"][start:stop] = obj + lam * (v1 + v2)
+    theta_avg = theta_sum / T
+    return cols, theta_avg, policy_from_vector(phi_arr @ theta_avg, mdp), projected
+
+
+@pytest.mark.parametrize("instance", ["gridworld", "wide"])
+def test_memoised_steps_match_the_batched_loop_bit_for_bit(instance):
+    """The step memo and the norm bound change no bit of a batched run.
+
+    Both runs span more than one chunk, and both take projected and
+    unprojected steps, so the bound is compared on either side of rho.
+    """
+    if instance == "gridworld":
+        phi, basis, mdp, target, constants, lam = _gridworld_setup()
+        cfg = SgdConfig(rho=0.5, lam=lam, eta=2e-4, iterations=6_000, seed=47,
+                        batch_size=3)
+    else:
+        phi, basis, mdp, target, constants, lam = _wide_setup()
+        cfg = SgdConfig(rho=0.1, lam=lam, eta=3e-3, iterations=600, seed=48,
+                        batch_size=3)
+    trace, policy = run_sgd_al(cfg, phi, basis, mdp, target, constants)
+    cols, theta_avg, expected_policy, projected = _batched_reference(
+        cfg, phi, basis, mdp, target, constants
+    )
+    assert 0 < projected < cfg.iterations
+    assert np.array_equal(trace.loss_total, cols["total"])
+    assert np.array_equal(trace.loss_objective, cols["objective"])
+    assert np.array_equal(trace.v1, cols["v1"])
+    assert np.array_equal(trace.v2, cols["v2"])
+    assert np.array_equal(trace.grad_norm, cols["grad_norm"])
+    assert np.array_equal(trace.theta_avg, theta_avg)
+    assert np.array_equal(policy.probs, expected_policy.probs)
+
+
+def test_step_memo_stays_at_its_cap(monkeypatch):
+    """Keys that rarely repeat fill the memo to its cap and no further.
+
+    On the wide instance most of 3,000 steps bring a new key.  The traced
+    peak of the run exceeds that of a run whose memo holds one entry by
+    well under 1 MB; without a cap the memo would hold several MB.
+    """
+    phi, basis, mdp, target, constants, lam = _wide_setup()
+    cfg = SgdConfig(rho=0.5, lam=lam, eta=1e-3, iterations=3_000, seed=49)
+    kernels, misses = [], []
+    init, build = sgd._Estimator.__init__, sgd._Estimator._from_signs
+
+    def recorded(self, *args):
+        init(self, *args)
+        kernels.append(self)
+
+    def counted(self, *args):
+        misses.append(1)
+        return build(self, *args)
+
+    monkeypatch.setattr(sgd._Estimator, "__init__", recorded)
+    monkeypatch.setattr(sgd._Estimator, "_from_signs", counted)
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            run_sgd_al(cfg, phi, basis, mdp, target, constants)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    capped = traced_peak()
+    assert len(misses) > 2_000
+    assert 1 < len(kernels[0]._memo) == kernels[0]._memo_cap
+    monkeypatch.setattr(sgd, "_MEMO_ELEMENTS", 0)
+    single = traced_peak()
+    assert capped - single < 512 * 1024
+
+
 def test_trace_never_records_negative_zero():
     phi, basis, mdp, target, constants, lam = _gridworld_setup()
     cfg = SgdConfig(rho=2.0, lam=lam, eta=2e-4, iterations=3_000, seed=43)
@@ -474,6 +620,26 @@ def test_nan_step_is_caught_by_the_norm_guard():
             run_sgd_al(cfg, CHAIN_PHI, CHAIN_BASIS, CHAIN, target, constants)
         with pytest.raises(RuntimeError, match="iterate 1 is not finite"):
             run_sgd_al(last, CHAIN_PHI, CHAIN_BASIS, CHAIN, target, constants)
+
+
+def test_nan_step_bypasses_a_memo_holding_its_draw_codes():
+    """An iterate that overflowed is never looked up in the step memo.
+
+    With Phi = 3 I the first step overflows.  At theta = 0 the drawn state
+    1 (nu0 = 0) has a zero flow residual and every pair a zero measure,
+    so the memo's first entry holds the draw codes that NaN comparisons
+    give at step 2.  The NaN guard must still stop the run there.
+    """
+    phi = 3.0 * CHAIN_PHI
+    target = np.array([1.8, 0.9])
+    constants = sampling_constants(phi, CHAIN, CHAIN_BASIS, 5.0)
+    seed = 1
+    u2 = np.random.default_rng(seed).random((1, 2))[0, 1]
+    assert np.searchsorted(np.cumsum(constants.q2), u2, side="right") == 1
+    cfg = SgdConfig(rho=2.1, lam=5.0, eta=1e308, iterations=10, seed=seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError, match="at step 2"):
+            run_sgd_al(cfg, phi, CHAIN_BASIS, CHAIN, target, constants)
 
 
 def test_mismatched_penalty_weight_is_rejected():
