@@ -160,7 +160,7 @@ def _cmd_train(args):
     parts = _prepare(config, "train")
     _, estimate, _ = _expert_estimate(config, parts)
     sgd_seed = stage_seed(config.master_seed, "sgd")
-    sgd_config, constants = _resolve_sgd(
+    sgd_config, constants, _ = _resolve_sgd(
         config.sgd, sgd_seed, parts["phi"], parts["basis"], parts["mdp"], config.scheme
     )
     trace, policy = run_sgd_al(

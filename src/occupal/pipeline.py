@@ -232,7 +232,12 @@ def _build_features(spec, mdp, seed):
 
 
 def _resolve_sgd(spec, seed, phi, basis, mdp, scheme):
-    """Explicit hyperparameters, or derive them from (epsilon, delta, rho)."""
+    """Explicit hyperparameters, or derive them from (epsilon, delta, rho).
+
+    Returns (config, constants, sample size): the sample size is the
+    schedule's required number of expert trajectories, None for explicit
+    hyperparameters.
+    """
     if "epsilon" in spec and "eta" not in spec:
         _require(spec, "sgd", "epsilon", "delta", "rho")
         epsilon = float(spec["epsilon"])
@@ -252,7 +257,7 @@ def _resolve_sgd(spec, seed, phi, basis, mdp, scheme):
             epsilon=epsilon,
             delta=delta,
         )
-        return config, constants
+        return config, constants, schedule.sample_size
     _require(spec, "sgd", "rho", "lam", "eta", "iterations")
     config = SgdConfig(
         rho=float(spec["rho"]),
@@ -263,7 +268,7 @@ def _resolve_sgd(spec, seed, phi, basis, mdp, scheme):
         batch_size=int(spec.get("batch_size", 1)),
     )
     constants = sampling_constants(phi, mdp, basis, config.lam, scheme=scheme)
-    return config, constants
+    return config, constants, None
 
 
 def _dump_json(path, blob):
@@ -357,7 +362,7 @@ def run_experiment(config):
         _dump_json(paths["expert_fe.json"], blob)
 
         stage = "sgd"
-        sgd_config, constants = _resolve_sgd(
+        sgd_config, constants, sample_size = _resolve_sgd(
             config.sgd, seeds["sgd"], phi, basis, mdp, config.scheme
         )
         trace, trained_policy = run_sgd_al(
@@ -421,6 +426,9 @@ def run_experiment(config):
         rep = regret_report(trained, exact, inputs)
         blob = regret_report_to_json(rep)
         blob.update(master_seed=master, stage_seed=None)
+        if sample_size is not None:
+            # The (epsilon, delta) guarantee assumes at least this many rollouts.
+            blob.update(sample_size_required=sample_size, sample_size_met=m >= sample_size)
         _dump_json(paths["regret_report.json"], blob)
     except Exception as exc:
         for path in paths.values():

@@ -26,14 +26,17 @@ from occupal import (
     make_chain,
     make_gridworld,
     make_random_mdp,
+    region_indicator_basis,
     sample_trajectories,
     save_trajectories,
+    stage_seed,
     state_action_indicator_basis,
     value_iteration,
 )
 from occupal import expert
 from occupal.expert import (
     _draw,
+    _spawned_uniforms,
     _support_table,
     estimator_from_json,
     estimator_to_json,
@@ -176,6 +179,37 @@ def test_sampler_matches_dense_reference_bit_for_bit(case):
         assert np.array_equal(sample_trajectories(mdp, policy, m, horizon, seed), expected)
 
 
+def _numpy_streams(seed, m, n):
+    """Column k: numpy's own default_rng(SeedSequence(seed).spawn(m)[k]).random(n)."""
+    out = np.empty((n, m))
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(m)):
+        out[:, k] = np.random.default_rng(child).random(n)
+    return out
+
+
+_STREAM_SEEDS = [
+    0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1,
+    stage_seed(77, "expert-trajectories"), stage_seed(4242, "expert-trajectories"),
+]
+
+
+@pytest.mark.parametrize("seed", _STREAM_SEEDS)
+def test_bulk_streams_match_numpy_generators_bit_for_bit(seed):
+    for m, n in ((1, 1), (7, 3), (300, 61)):
+        bulk = _spawned_uniforms(seed, m, n)
+        assert bulk.shape == (n, m)
+        assert np.array_equal(bulk.view(np.int64), _numpy_streams(seed, m, n).view(np.int64))
+
+
+def test_bulk_streams_fall_back_past_four_entropy_words(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a seed >= 2^128 took the array path")
+
+    monkeypatch.setattr(expert, "_pcg64_doubles", unreachable)
+    seed = 2**128 + 12345
+    assert np.array_equal(_spawned_uniforms(seed, 7, 3), _numpy_streams(seed, 7, 3))
+
+
 def test_support_table_matches_dense_search_at_the_edges():
     """Draws on every cumulative weight, just below each, 0 and just below
     1, including those that land on the pinned zero-mass column."""
@@ -255,6 +289,19 @@ def test_estimator_rejects_indices_outside_the_mdp(batch):
         empirical_feature_expectation(batch, basis, 0.9, grid.n_actions)
     edge = empirical_feature_expectation([[[15, 3], [0, 0]]], basis, 0.9, 4)
     assert edge.values[63] == 1.0 and edge.values[0] == 0.9
+
+
+def test_estimate_matches_dense_gather_bit_for_bit():
+    grid, _ = make_gridworld(4, 4, 0.9, 0.1)
+    uniform = Policy(np.full((16, 4), 0.25))
+    batch = sample_trajectories(grid, uniform, m=300, horizon=50, seed=13)
+    flat = batch[:, :, 0] * 4 + batch[:, :, 1]
+    weights = 0.9 ** np.arange(50)
+    dense = CostBasis(np.random.default_rng(14).uniform(-1.0, 1.0, (64, 5)))
+    for basis in (dense, region_indicator_basis(grid, 4)):
+        expected = np.einsum("mhc,h->c", basis.psi[flat], weights) / 300
+        est = empirical_feature_expectation(batch, basis, 0.9, 4)
+        assert np.array_equal(est.values.view(np.int64), expected.view(np.int64))
 
 
 def test_estimator_rejects_an_empty_batch():

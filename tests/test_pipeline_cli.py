@@ -3,7 +3,8 @@
 run_experiment must write all nine artifacts, be byte-reproducible from
 (config, master seed) alone, name the failing stage and clean up after
 itself on errors, and record the derived hyperparameters exactly when the
-config gives an accuracy pair instead of explicit settings.  The CLI must
+config gives an accuracy pair instead of explicit settings, together with
+whether the expert batch meets the pair's sample size.  The CLI must
 expose every stage as a stateless subcommand whose outputs match a full
 run, and report validation failures and internal errors through its exit
 code.
@@ -19,6 +20,7 @@ import pytest
 from occupal import (
     build_feature_matrix,
     empirical_feature_expectation,
+    hoeffding_sample_size,
     load_trajectories,
     make_chain,
     region_indicator_basis,
@@ -80,6 +82,8 @@ def test_smoke_run_writes_all_artifacts(tmp_path):
                 "approximation_term", "epsilon_term", "rhs", "holds"):
         assert key in report
     assert isinstance(report["holds"], bool)
+    # explicit hyperparameters carry no sample-size premise
+    assert "sample_size_required" not in report and "sample_size_met" not in report
     assert report["lhs"] >= 0.0 and report["rhs"] >= report["comparator_gap"]
 
     baseline = json.loads((out / "baseline.json").read_text())
@@ -137,6 +141,23 @@ def test_accuracy_pair_config_records_derived_schedule(tmp_path):
     assert blob["sgd"]["delta"] == 0.5
     assert blob["sgd"]["rho"] == 2.0
     assert len(blob["theta"]) == 2
+
+    # m = 50 rollouts fall short of the Hoeffding size the pair needs
+    report = json.loads((out / "regret_report.json").read_text())
+    assert report["sample_size_required"] == schedule.sample_size > 50
+    assert report["sample_size_met"] is False
+
+    # a pair with a short schedule, run with exactly the required rollouts
+    required = hoeffding_sample_size(2, 0.5, 0.99, 0.99)
+    out = tmp_path / "enough"
+    config = chain_config(
+        out, seed=11, expert={"m": required},
+        sgd={"epsilon": 0.99, "delta": 0.99, "rho": 0.1},
+    )
+    run_experiment(ExperimentConfig.from_json(config))
+    report = json.loads((out / "regret_report.json").read_text())
+    assert report["sample_size_required"] == required
+    assert report["sample_size_met"] is True
 
 
 def test_partial_outputs_removed_on_stage_failure(tmp_path):
