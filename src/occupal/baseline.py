@@ -396,7 +396,7 @@ def subgradient_solve(mdp, basis, target, iterations=None):
         seen.add(actions.tobytes())
         measures.append(mu.mass)
         master = np.where(master >= k, master + 1, master)
-    return ExactSolution(OccupancyMeasure(mixture), gap, "full-subgradient", lower)
+    return ExactSolution(OccupancyMeasure(mixture), gap, "column-generation", lower)
 
 
 def regret_report(trained, exact, inputs):

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands mirror the pipeline stages.  Each one is stateless: it
-re-derives everything upstream of it from the config file and the master
-seed (stages are seeded individually, so the re-derivation is
-byte-identical to a full run) and writes only its own artifacts.
+Each pipeline subcommand runs a slice of the pipeline's one stage table
+(occupal.pipeline.STAGES) and writes only its own artifacts.  Each one is
+stateless: it re-derives everything upstream of it from the config file
+and the master seed (stages are seeded individually, so the re-derivation
+is byte-identical to a full run).  A failing subcommand names the failing
+stage and removes only the files it wrote itself.
 
 Exit codes: 0 success, 1 validation failure (bad config, bad input files,
 invalid generated objects), 2 internal error.
@@ -19,53 +21,52 @@ import sys
 
 import numpy as np
 
-from .baseline import exact_al_solve, exact_solution_to_json, subgradient_solve
-from .expert import (
-    default_horizon,
-    empirical_feature_expectation,
-    estimator_to_json,
-    sample_trajectories,
-    save_trajectories,
-)
-from .extraction import evaluate_theta, extraction_report
+from .baseline import exact_al_solve, subgradient_solve
+from .extraction import evaluate_theta
 from .features import (
     brute_force_sup_gap,
+    build_feature_matrix,
     feature_expectation,
     l1_feature_gap,
     sampling_constants,
     state_action_indicator_basis,
 )
-from .mdp import (
-    make_random_mdp,
-    mdp_to_json,
-    occupancy_of_policy,
-    policy_to_json,
-    uniform_policy,
-    value_iteration,
-)
+from .mdp import make_random_mdp, occupancy_of_policy, uniform_policy
 from .pipeline import (
     ExperimentConfig,
     PipelineError,
-    _build_basis,
-    _build_environment,
-    _build_features,
-    _dump_json,
-    _require,
-    _resolve_sgd,
-    _write_trace_csv,
+    resolve_sgd,
     run_experiment,
-    stage_seed,
+    run_stages,
 )
 from .sgd import (
     exact_subgradient,
     project_l2_ball,
-    run_sgd_al,
     stochastic_subgradient,
     subgradient_estimate,
     surrogate_loss,
 )
 
 __all__ = ["main"]
+
+# The stages each staged subcommand runs, and the artifacts it writes.
+_SLICES = {
+    "generate": (("environment",), ("mdp.json",)),
+    "expert": (
+        ("environment", "expert-policy", "basis", "expert-trajectories"),
+        ("expert_policy.json", "trajectories.txt", "expert_fe.json"),
+    ),
+    "train": (
+        ("environment", "expert-policy", "basis", "features",
+         "expert-trajectories", "sgd", "policy-extraction"),
+        ("trace.csv", "theta.json", "policy.json"),
+    ),
+    "baseline": (
+        ("environment", "expert-policy", "basis", "baseline"),
+        ("baseline.json",),
+    ),
+}
+_EVALUATE_STAGES = ("environment", "expert-policy", "basis", "features")
 
 
 def _load_config(args):
@@ -82,142 +83,38 @@ def _load_config(args):
     )
 
 
-def _prepare(config, upto):
-    """Build the in-memory stages a subcommand depends on."""
-    parts = {}
-    parts["mdp"], parts["cost"] = _build_environment(
-        config.environment, stage_seed(config.master_seed, "environment")
-    )
-    if upto == "environment":
-        return parts
-    parts["expert_policy"], _ = value_iteration(
-        parts["mdp"],
-        parts["cost"],
-        tolerance=float(config.expert.get("vi_tolerance", 1e-10)),
-    )
-    parts["basis"] = _build_basis(config.basis, parts["mdp"])
-    if upto == "expert":
-        return parts
-    parts["phi"] = _build_features(
-        config.features, parts["mdp"], stage_seed(config.master_seed, "features")
-    )
-    return parts
-
-
-def _expert_estimate(config, parts):
-    mdp = parts["mdp"]
-    _require(config.expert, "expert", "m")
-    horizon = config.expert.get("horizon")
-    if horizon is None:
-        horizon = default_horizon(mdp.discount)
-    seed = stage_seed(config.master_seed, "expert-trajectories")
-    trajectories = sample_trajectories(
-        mdp, parts["expert_policy"], int(config.expert["m"]), int(horizon), seed
-    )
-    estimate = empirical_feature_expectation(
-        trajectories, parts["basis"], mdp.discount, mdp.n_actions
-    )
-    return trajectories, estimate, seed
-
-
-def _cmd_generate(args):
+def _cmd_slice(args):
     config = _load_config(args)
-    parts = _prepare(config, "environment")
-    os.makedirs(config.out_dir, exist_ok=True)
-    blob = mdp_to_json(parts["mdp"])
-    blob.update(
-        master_seed=config.master_seed,
-        stage_seed=stage_seed(config.master_seed, "environment"),
-    )
-    path = os.path.join(config.out_dir, "mdp.json")
-    _dump_json(path, blob)
-    print(f"wrote {path}")
+    stages, artifacts = _SLICES[args.command]
+    run_stages(config, stages, artifacts)
+    print(f"wrote {', '.join(artifacts)} to {config.out_dir}")
     return 0
 
 
-def _cmd_expert(args):
-    config = _load_config(args)
-    parts = _prepare(config, "expert")
-    os.makedirs(config.out_dir, exist_ok=True)
-    blob = policy_to_json(parts["expert_policy"])
-    blob.update(master_seed=config.master_seed, stage_seed=None)
-    _dump_json(os.path.join(config.out_dir, "expert_policy.json"), blob)
-    trajectories, estimate, seed = _expert_estimate(config, parts)
-    save_trajectories(
-        os.path.join(config.out_dir, "trajectories.txt"),
-        trajectories,
-        header=f"master_seed={config.master_seed} stage_seed={seed}",
-    )
-    blob = estimator_to_json(estimate)
-    blob.update(master_seed=config.master_seed, stage_seed=seed)
-    _dump_json(os.path.join(config.out_dir, "expert_fe.json"), blob)
-    print(f"wrote expert artifacts to {config.out_dir}")
-    return 0
-
-
-def _cmd_train(args):
-    config = _load_config(args)
-    parts = _prepare(config, "train")
-    _, estimate, _ = _expert_estimate(config, parts)
-    sgd_seed = stage_seed(config.master_seed, "sgd")
-    sgd_config, constants, _ = _resolve_sgd(
-        config.sgd, sgd_seed, parts["phi"], parts["basis"], parts["mdp"], config.scheme
-    )
-    trace, policy = run_sgd_al(
-        sgd_config, parts["phi"], parts["basis"], parts["mdp"], estimate, constants
-    )
-    os.makedirs(config.out_dir, exist_ok=True)
-    _write_trace_csv(
-        os.path.join(config.out_dir, "trace.csv"), trace, config.master_seed, sgd_seed
-    )
-    _dump_json(
-        os.path.join(config.out_dir, "theta.json"),
-        {
-            "theta": trace.theta_avg.tolist(),
-            "sgd": {
-                "rho": sgd_config.rho,
-                "lam": sgd_config.lam,
-                "eta": sgd_config.eta,
-                "iterations": sgd_config.iterations,
-                "batch_size": sgd_config.batch_size,
-                "epsilon": sgd_config.epsilon,
-                "delta": sgd_config.delta,
-            },
-            "scheme": config.scheme,
-            "master_seed": config.master_seed,
-            "stage_seed": sgd_seed,
-        },
-    )
-    candidate = np.asarray(parts["phi"].phi) @ trace.theta_avg
-    report = extraction_report(candidate, parts["mdp"])
-    blob = policy_to_json(policy)
-    blob.update(
-        l1_distance_bound=report.violation_bound,
-        uniform_fallback_states=list(report.uniform_fallback_states),
-        master_seed=config.master_seed,
-        stage_seed=sgd_seed,
-    )
-    _dump_json(os.path.join(config.out_dir, "policy.json"), blob)
-    print(f"wrote training artifacts to {config.out_dir}")
-    return 0
+def _load_theta(path, d):
+    """The parameter vector of a theta.json file, which comes from outside."""
+    with open(path) as fh:
+        blob = json.load(fh)
+    try:
+        theta = np.asarray(blob["theta"], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        theta = None
+    if theta is None or theta.shape != (d,) or not np.isfinite(theta).all():
+        raise ValueError(f"{path}: 'theta' must be a list of d = {d} finite numbers")
+    return theta
 
 
 def _cmd_evaluate(args):
     config = _load_config(args)
-    parts = _prepare(config, "train")
-    with open(args.theta) as fh:
-        theta = np.asarray(json.load(fh)["theta"], dtype=float)
-    expert_mu = occupancy_of_policy(parts["mdp"], parts["expert_policy"])
-    true_fe = feature_expectation(expert_mu, parts["basis"])
-    mu, gap = evaluate_theta(theta, parts["phi"], parts["basis"], parts["mdp"], true_fe)
-    breakdown = surrogate_loss(
-        theta,
-        parts["phi"],
-        parts["basis"],
-        parts["mdp"],
-        true_fe,
-        float(config.sgd.get("lam", 1.0 / config.sgd.get("epsilon", 1.0))),
+    state = run_stages(config, _EVALUATE_STAGES, ())
+    mdp, basis, phi = state["mdp"], state["basis"], state["phi"]
+    theta = _load_theta(args.theta, phi.d)
+    sgd_config, _, _ = resolve_sgd(
+        config.sgd, state["seeds"]["sgd"], phi, basis, mdp, config.scheme
     )
+    true_fe = feature_expectation(occupancy_of_policy(mdp, state["expert_policy"]), basis)
+    mu, gap = evaluate_theta(theta, phi, basis, mdp, true_fe)
+    breakdown = surrogate_loss(theta, phi, basis, mdp, true_fe, sgd_config.lam)
     print(
         json.dumps(
             {
@@ -231,20 +128,6 @@ def _cmd_evaluate(args):
             sort_keys=True,
         )
     )
-    return 0
-
-
-def _cmd_baseline(args):
-    config = _load_config(args)
-    parts = _prepare(config, "expert")
-    expert_mu = occupancy_of_policy(parts["mdp"], parts["expert_policy"])
-    true_fe = feature_expectation(expert_mu, parts["basis"])
-    exact = exact_al_solve(parts["mdp"], parts["basis"], true_fe)
-    os.makedirs(config.out_dir, exist_ok=True)
-    blob = exact_solution_to_json(exact)
-    blob.update(master_seed=config.master_seed, stage_seed=None)
-    _dump_json(os.path.join(config.out_dir, "baseline.json"), blob)
-    print(f"baseline objective {exact.objective!r} ({exact.method})")
     return 0
 
 
@@ -334,7 +217,7 @@ def _check_extraction_bound(rng):
 def _check_unbiased(rng):
     mdp = make_random_mdp(3, 2, 0.6, seed=7)
     basis = state_action_indicator_basis(mdp)
-    phi = _build_features({"d": 3}, mdp, seed=11)
+    phi = build_feature_matrix(mdp, 3, seed=11)
     constants = sampling_constants(phi, mdp, basis, lam=2.0)
     target = feature_expectation(occupancy_of_policy(mdp, uniform_policy(mdp)), basis)
     for _ in range(5):
@@ -355,7 +238,7 @@ def _check_unbiased(rng):
 def _check_gradient_bound(rng):
     mdp = make_random_mdp(4, 2, 0.7, seed=3)
     basis = state_action_indicator_basis(mdp)
-    phi = _build_features({"d": 4}, mdp, seed=5)
+    phi = build_feature_matrix(mdp, 4, seed=5)
     constants = sampling_constants(phi, mdp, basis, lam=2.0)
     target = feature_expectation(occupancy_of_policy(mdp, uniform_policy(mdp)), basis)
     worst = 0.0
@@ -453,11 +336,11 @@ def build_parser():
 
 
 _COMMANDS = {
-    "generate": _cmd_generate,
-    "expert": _cmd_expert,
-    "train": _cmd_train,
+    "generate": _cmd_slice,
+    "expert": _cmd_slice,
+    "train": _cmd_slice,
     "evaluate": _cmd_evaluate,
-    "baseline": _cmd_baseline,
+    "baseline": _cmd_slice,
     "run": _cmd_run,
     "verify": _cmd_verify,
 }

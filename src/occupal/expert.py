@@ -9,7 +9,6 @@ per coordinate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -24,9 +23,6 @@ __all__ = [
     "save_trajectories",
     "load_trajectories",
     "estimator_to_json",
-    "estimator_from_json",
-    "save_estimator",
-    "load_estimator",
 ]
 
 
@@ -494,21 +490,3 @@ def estimator_to_json(est):
         "truncation_bound": est.truncation_bound,
     }
 
-
-def estimator_from_json(blob):
-    return EmpiricalFeatureExpectation(
-        np.array(blob["values"], dtype=float),
-        int(blob["m"]),
-        int(blob["horizon"]),
-        float(blob["truncation_bound"]),
-    )
-
-
-def save_estimator(path, est):
-    with open(path, "w") as fh:
-        json.dump(estimator_to_json(est), fh)
-
-
-def load_estimator(path):
-    with open(path) as fh:
-        return estimator_from_json(json.load(fh))

@@ -2,9 +2,13 @@
 
 A single JSON-friendly config describes the environment, the cost basis,
 the candidate features, the expert data budget, and the training
-hyperparameters; run_experiment derives one seed per stage from the master
-seed, runs generate -> expert -> estimate -> train -> extract -> baseline,
-and writes nine artifact files into the output directory.  Every file
+hyperparameters.  STAGES lists the pipeline once, in order: environment,
+expert policy, basis, features, expert trajectories, sgd, policy
+extraction, baseline and regret report, each with the artifacts it
+writes.  run_stages runs a slice of that table and writes a chosen subset
+of its artifacts; run_experiment runs all of it and writes all nine.  Each
+stage that draws randomness takes its own seed from the master seed, so a
+slice rebuilds its upstream stages exactly as a full run does.  Every file
 records the seeds that produced it and nothing time-dependent, so reruns
 with the same config are byte-identical.
 """
@@ -60,21 +64,12 @@ __all__ = [
     "ExperimentConfig",
     "PipelineError",
     "ARTIFACT_NAMES",
+    "STAGES",
     "stage_seed",
+    "resolve_sgd",
+    "run_stages",
     "run_experiment",
 ]
-
-ARTIFACT_NAMES = (
-    "mdp.json",
-    "expert_policy.json",
-    "trajectories.txt",
-    "expert_fe.json",
-    "trace.csv",
-    "theta.json",
-    "policy.json",
-    "baseline.json",
-    "regret_report.json",
-)
 
 _MASK64 = (1 << 64) - 1
 
@@ -231,7 +226,7 @@ def _build_features(spec, mdp, seed):
     )
 
 
-def _resolve_sgd(spec, seed, phi, basis, mdp, scheme):
+def resolve_sgd(spec, seed, phi, basis, mdp, scheme):
     """Explicit hyperparameters, or derive them from (epsilon, delta, rho).
 
     Returns (config, constants, sample size): the sample size is the
@@ -304,137 +299,216 @@ def _write_trace_csv(path, trace, master_seed, seed):
             )
 
 
+def _write(state, name, writer, *args):
+    """writer(path, *args) for artifact `name`, if this run writes it."""
+    path = state["paths"].get(name)
+    if path is not None:
+        # Recorded first, so a file the writer leaves half done is removed too.
+        state["written"].append(path)
+        writer(path, *args)
+
+
+# Stage functions read and extend the shared state dict.  They reach every
+# helper through this module's globals, so a name patched here (by a test
+# or a tracer) is the one each run calls.
+
+def _environment(state):
+    config, seed = state["config"], state["seeds"]["environment"]
+    state["mdp"], state["cost"] = _build_environment(config.environment, seed)
+    blob = mdp_to_json(state["mdp"])
+    blob.update(master_seed=config.master_seed, stage_seed=seed)
+    _write(state, "mdp.json", _dump_json, blob)
+
+
+def _expert_policy(state):
+    config = state["config"]
+    state["expert_policy"], _ = value_iteration(
+        state["mdp"],
+        state["cost"],
+        tolerance=float(config.expert.get("vi_tolerance", 1e-10)),
+    )
+    blob = policy_to_json(state["expert_policy"])
+    blob.update(master_seed=config.master_seed, stage_seed=None)
+    _write(state, "expert_policy.json", _dump_json, blob)
+
+
+def _basis(state):
+    state["basis"] = _build_basis(state["config"].basis, state["mdp"])
+
+
+def _features(state):
+    state["phi"] = _build_features(
+        state["config"].features, state["mdp"], state["seeds"]["features"]
+    )
+
+
+def _expert_trajectories(state):
+    config, seed = state["config"], state["seeds"]["expert-trajectories"]
+    mdp = state["mdp"]
+    _require(config.expert, "expert", "m")
+    horizon = config.expert.get("horizon")
+    if horizon is None:
+        horizon = default_horizon(mdp.discount)
+    state["m"] = m = int(config.expert["m"])
+    trajectories = sample_trajectories(
+        mdp, state["expert_policy"], m, int(horizon), seed
+    )
+    _write(
+        state,
+        "trajectories.txt",
+        save_trajectories,
+        trajectories,
+        f"master_seed={config.master_seed} stage_seed={seed}",
+    )
+    state["estimate"] = estimate = empirical_feature_expectation(
+        trajectories, state["basis"], mdp.discount, mdp.n_actions
+    )
+    blob = estimator_to_json(estimate)
+    blob.update(master_seed=config.master_seed, stage_seed=seed)
+    _write(state, "expert_fe.json", _dump_json, blob)
+
+
+def _sgd(state):
+    config, seed = state["config"], state["seeds"]["sgd"]
+    phi, basis, mdp = state["phi"], state["basis"], state["mdp"]
+    sgd_config, constants, state["sample_size"] = resolve_sgd(
+        config.sgd, seed, phi, basis, mdp, config.scheme
+    )
+    state["sgd_config"] = sgd_config
+    trace, state["trained_policy"] = run_sgd_al(
+        sgd_config, phi, basis, mdp, state["estimate"], constants
+    )
+    state["trace"] = trace
+    _write(state, "trace.csv", _write_trace_csv, trace, config.master_seed, seed)
+    blob = {
+        "theta": trace.theta_avg.tolist(),
+        "sgd": {
+            "rho": sgd_config.rho,
+            "lam": sgd_config.lam,
+            "eta": sgd_config.eta,
+            "iterations": sgd_config.iterations,
+            "batch_size": sgd_config.batch_size,
+            "epsilon": sgd_config.epsilon,
+            "delta": sgd_config.delta,
+        },
+        "scheme": config.scheme,
+        "master_seed": config.master_seed,
+        "stage_seed": seed,
+    }
+    _write(state, "theta.json", _dump_json, blob)
+
+
+def _policy_extraction(state):
+    config = state["config"]
+    candidate = np.asarray(state["phi"].phi) @ state["trace"].theta_avg
+    report = extraction_report(candidate, state["mdp"])
+    blob = policy_to_json(state["trained_policy"])
+    blob.update(
+        l1_distance_bound=report.violation_bound,
+        uniform_fallback_states=list(report.uniform_fallback_states),
+        master_seed=config.master_seed,
+        stage_seed=state["seeds"]["sgd"],
+    )
+    _write(state, "policy.json", _dump_json, blob)
+
+
+def _baseline(state):
+    mdp, basis = state["mdp"], state["basis"]
+    expert_mu = occupancy_of_policy(mdp, state["expert_policy"])
+    state["true_fe"] = true_fe = feature_expectation(expert_mu, basis)
+    state["exact"] = exact = exact_al_solve(mdp, basis, true_fe)
+    blob = exact_solution_to_json(exact)
+    blob.update(master_seed=state["config"].master_seed, stage_seed=None)
+    _write(state, "baseline.json", _dump_json, blob)
+
+
+def _regret_report(state):
+    phi, basis, mdp = state["phi"], state["basis"], state["mdp"]
+    sgd_config = state["sgd_config"]
+    trained = evaluate_theta(state["trace"].theta_avg, phi, basis, mdp, state["true_fe"])
+    epsilon = sgd_config.epsilon
+    if epsilon is None:
+        epsilon = 1.0 / sgd_config.lam if sgd_config.lam > 0 else float("inf")
+    inputs = BoundInputs(
+        epsilon=epsilon,
+        lam=sgd_config.lam,
+        rho=sgd_config.rho,
+        d=phi.d,
+        n_costs=basis.n_costs,
+        gamma=mdp.discount,
+        psi_inf_norm=float(np.abs(basis.psi).max()),
+        phi_one_norm=float(np.abs(np.asarray(phi.phi)).sum(axis=0).max()),
+    )
+    blob = regret_report_to_json(regret_report(trained, state["exact"], inputs))
+    blob.update(master_seed=state["config"].master_seed, stage_seed=None)
+    sample_size = state["sample_size"]
+    if sample_size is not None:
+        # The (epsilon, delta) guarantee assumes at least this many rollouts.
+        blob.update(
+            sample_size_required=sample_size, sample_size_met=state["m"] >= sample_size
+        )
+    _write(state, "regret_report.json", _dump_json, blob)
+
+
+# The pipeline, in order: (stage name, stage function, artifacts it writes).
+STAGES = (
+    ("environment", _environment, ("mdp.json",)),
+    ("expert-policy", _expert_policy, ("expert_policy.json",)),
+    ("basis", _basis, ()),
+    ("features", _features, ()),
+    ("expert-trajectories", _expert_trajectories, ("trajectories.txt", "expert_fe.json")),
+    ("sgd", _sgd, ("trace.csv", "theta.json")),
+    ("policy-extraction", _policy_extraction, ("policy.json",)),
+    ("baseline", _baseline, ("baseline.json",)),
+    ("regret-report", _regret_report, ("regret_report.json",)),
+)
+
+ARTIFACT_NAMES = tuple(artifact for _, _, artifacts in STAGES for artifact in artifacts)
+
+
+def run_stages(config, stages, write):
+    """Run the named stages, in the order given, and write the artifacts in `write`.
+
+    Every artifact in `write` must belong to one of the stages run.
+    Returns the shared state: the config, the stage seeds, what each stage
+    built, and "paths", {artifact name: path} for the artifacts written.
+    On any failure the files this call wrote are removed and a
+    PipelineError naming the stage is raised.
+    """
+    functions = {name: function for name, function, _ in STAGES}
+    produced = {a for name, _, artifacts in STAGES if name in stages for a in artifacts}
+    if not produced.issuperset(write):
+        raise ValueError(f"stages {list(stages)} do not write all of {list(write)}")
+    out = config.out_dir
+    if write:
+        os.makedirs(out, exist_ok=True)
+    state = {
+        "config": config,
+        "seeds": {
+            name: stage_seed(config.master_seed, name)
+            for name in ("environment", "features", "expert-trajectories", "sgd")
+        },
+        "paths": {name: os.path.join(out, name) for name in write},
+        "written": [],
+    }
+    stage = None
+    try:
+        for stage in stages:
+            functions[stage](state)
+    except Exception as exc:
+        for path in state["written"]:
+            if os.path.exists(path):
+                os.remove(path)
+        if isinstance(exc, PipelineError):
+            raise
+        raise PipelineError(stage, str(exc)) from exc
+    return state
+
+
 def run_experiment(config):
     """Run every stage and write the nine artifact files.
 
     Returns {artifact name: path}.  On any failure the partially written
     artifacts are removed and a PipelineError naming the stage is raised.
     """
-    out = config.out_dir
-    os.makedirs(out, exist_ok=True)
-    paths = {name: os.path.join(out, name) for name in ARTIFACT_NAMES}
-    master = config.master_seed
-    seeds = {
-        name: stage_seed(master, name)
-        for name in ("environment", "features", "expert-trajectories", "sgd")
-    }
-    stage = "environment"
-    try:
-        mdp, true_cost = _build_environment(config.environment, seeds["environment"])
-        blob = mdp_to_json(mdp)
-        blob.update(master_seed=master, stage_seed=seeds["environment"])
-        _dump_json(paths["mdp.json"], blob)
-
-        stage = "expert-policy"
-        expert_policy, _ = value_iteration(
-            mdp, true_cost, tolerance=float(config.expert.get("vi_tolerance", 1e-10))
-        )
-        blob = policy_to_json(expert_policy)
-        blob.update(master_seed=master, stage_seed=None)
-        _dump_json(paths["expert_policy.json"], blob)
-
-        stage = "basis"
-        basis = _build_basis(config.basis, mdp)
-
-        stage = "features"
-        phi = _build_features(config.features, mdp, seeds["features"])
-
-        stage = "expert-trajectories"
-        _require(config.expert, "expert", "m")
-        horizon = config.expert.get("horizon")
-        if horizon is None:
-            horizon = default_horizon(mdp.discount)
-        horizon = int(horizon)
-        m = int(config.expert["m"])
-        trajectories = sample_trajectories(
-            mdp, expert_policy, m, horizon, seeds["expert-trajectories"]
-        )
-        save_trajectories(
-            paths["trajectories.txt"],
-            trajectories,
-            header=f"master_seed={master} stage_seed={seeds['expert-trajectories']}",
-        )
-        estimate = empirical_feature_expectation(
-            trajectories, basis, mdp.discount, mdp.n_actions
-        )
-        blob = estimator_to_json(estimate)
-        blob.update(master_seed=master, stage_seed=seeds["expert-trajectories"])
-        _dump_json(paths["expert_fe.json"], blob)
-
-        stage = "sgd"
-        sgd_config, constants, sample_size = _resolve_sgd(
-            config.sgd, seeds["sgd"], phi, basis, mdp, config.scheme
-        )
-        trace, trained_policy = run_sgd_al(
-            sgd_config, phi, basis, mdp, estimate, constants
-        )
-        _write_trace_csv(paths["trace.csv"], trace, master, seeds["sgd"])
-        _dump_json(
-            paths["theta.json"],
-            {
-                "theta": trace.theta_avg.tolist(),
-                "sgd": {
-                    "rho": sgd_config.rho,
-                    "lam": sgd_config.lam,
-                    "eta": sgd_config.eta,
-                    "iterations": sgd_config.iterations,
-                    "batch_size": sgd_config.batch_size,
-                    "epsilon": sgd_config.epsilon,
-                    "delta": sgd_config.delta,
-                },
-                "scheme": config.scheme,
-                "master_seed": master,
-                "stage_seed": seeds["sgd"],
-            },
-        )
-
-        stage = "policy-extraction"
-        candidate = np.asarray(phi.phi) @ trace.theta_avg
-        report = extraction_report(candidate, mdp)
-        blob = policy_to_json(trained_policy)
-        blob.update(
-            l1_distance_bound=report.violation_bound,
-            uniform_fallback_states=list(report.uniform_fallback_states),
-            master_seed=master,
-            stage_seed=seeds["sgd"],
-        )
-        _dump_json(paths["policy.json"], blob)
-
-        stage = "baseline"
-        expert_mu = occupancy_of_policy(mdp, expert_policy)
-        true_fe = feature_expectation(expert_mu, basis)
-        exact = exact_al_solve(mdp, basis, true_fe)
-        blob = exact_solution_to_json(exact)
-        blob.update(master_seed=master, stage_seed=None)
-        _dump_json(paths["baseline.json"], blob)
-
-        stage = "regret-report"
-        trained = evaluate_theta(trace.theta_avg, phi, basis, mdp, true_fe)
-        epsilon = sgd_config.epsilon
-        if epsilon is None:
-            epsilon = 1.0 / sgd_config.lam if sgd_config.lam > 0 else float("inf")
-        inputs = BoundInputs(
-            epsilon=epsilon,
-            lam=sgd_config.lam,
-            rho=sgd_config.rho,
-            d=phi.d,
-            n_costs=basis.n_costs,
-            gamma=mdp.discount,
-            psi_inf_norm=float(np.abs(basis.psi).max()),
-            phi_one_norm=float(np.abs(np.asarray(phi.phi)).sum(axis=0).max()),
-        )
-        rep = regret_report(trained, exact, inputs)
-        blob = regret_report_to_json(rep)
-        blob.update(master_seed=master, stage_seed=None)
-        if sample_size is not None:
-            # The (epsilon, delta) guarantee assumes at least this many rollouts.
-            blob.update(sample_size_required=sample_size, sample_size_met=m >= sample_size)
-        _dump_json(paths["regret_report.json"], blob)
-    except Exception as exc:
-        for path in paths.values():
-            if os.path.exists(path):
-                os.remove(path)
-        if isinstance(exc, PipelineError):
-            raise
-        raise PipelineError(stage, str(exc)) from exc
-    return paths
+    return run_stages(config, [name for name, _, _ in STAGES], ARTIFACT_NAMES)["paths"]

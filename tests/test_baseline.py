@@ -254,7 +254,7 @@ def test_subgradient_solver_matches_simplex():
         target = rng.uniform(0.0, 2.0 / (1.0 - mdp.discount), n_blocks)
         lp = exact_al_solve(mdp, basis, target)
         sub = subgradient_solve(mdp, basis, target)
-        assert sub.method == "full-subgradient"
+        assert sub.method == "column-generation"
         worst = max(worst, abs(lp.objective - sub.objective))
         assert abs(lp.objective - sub.objective) <= 1e-4
         # the iterative solution is itself a genuine occupancy measure

@@ -38,8 +38,6 @@ from occupal.expert import (
     _draw,
     _spawned_uniforms,
     _support_table,
-    estimator_from_json,
-    estimator_to_json,
 )
 
 CHAIN = make_chain(0.5)
@@ -535,12 +533,3 @@ def test_trajectory_loader_names_a_bad_line_in_a_later_block(tmp_path):
     path.write_text("\n".join(rows) + "\n")
     assert np.array_equal(load_trajectories(path), _reference_load(path))
 
-
-def test_estimator_json_round_trip():
-    batch = sample_trajectories(CHAIN, STAY, m=4, horizon=10, seed=16)
-    basis = state_action_indicator_basis(CHAIN)
-    est = empirical_feature_expectation(batch, basis, 0.5, 2)
-    clone = estimator_from_json(estimator_to_json(est))
-    assert np.array_equal(clone.values, est.values)
-    assert (clone.m, clone.horizon) == (est.m, est.horizon)
-    assert clone.truncation_bound == est.truncation_bound

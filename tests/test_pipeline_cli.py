@@ -6,8 +6,9 @@ itself on errors, and record the derived hyperparameters exactly when the
 config gives an accuracy pair instead of explicit settings, together with
 whether the expert batch meets the pair's sample size.  The CLI must
 expose every stage as a stateless subcommand whose outputs match a full
-run, and report validation failures and internal errors through its exit
-code.
+run, remove only its own files when a stage fails, reject a malformed
+theta file, and report validation failures and internal errors through
+its exit code.
 """
 
 import hashlib
@@ -33,6 +34,7 @@ from occupal.pipeline import (
     PipelineError,
     _write_trace_csv,
     run_experiment,
+    run_stages,
     stage_seed,
 )
 from occupal.sgd import TrainingTrace, certified_schedule
@@ -173,6 +175,13 @@ def test_partial_outputs_removed_on_stage_failure(tmp_path):
     assert not any((out / name).exists() for name in ARTIFACT_NAMES)
 
 
+def test_run_stages_refuses_an_artifact_its_stages_do_not_write(tmp_path):
+    config = ExperimentConfig.from_json(chain_config(tmp_path / "run"))
+    with pytest.raises(ValueError, match="do not write"):
+        run_stages(config, ("environment",), ("mdp.json", "policy.json"))
+    assert not (tmp_path / "run").exists()
+
+
 def test_trajectories_round_trip(tmp_path):
     out = tmp_path / "run"
     run_experiment(ExperimentConfig.from_json(chain_config(out)))
@@ -244,30 +253,94 @@ def test_stage_seed_derivation():
 # ---------------------------------------------------------------------------
 # the command line
 
-def test_cli_run_and_staged_subcommands_agree(tmp_path, capsys):
+GRIDWORLD_4X4 = {
+    "environment": {"kind": "gridworld", "width": 4, "height": 4,
+                    "discount": 0.9, "slip_prob": 0.1},
+    "basis": {"kind": "region-indicator", "n_blocks": 4},
+    "features": {"d": 6},
+    "expert": {"m": 200},
+    "sgd": {"rho": 2.0, "lam": 10.0, "eta": 2e-05, "iterations": 500},
+}
+
+
+@pytest.mark.parametrize("overrides, flags", [
+    pytest.param({}, [], id="chain"),
+    pytest.param(GRIDWORLD_4X4, [], id="gridworld-4x4-regions"),
+    pytest.param({"sgd": {"epsilon": 0.99, "delta": 0.99, "rho": 0.1}}, [],
+                 id="accuracy-pair"),
+    pytest.param({}, ["--seed", "21", "--scheme", "uniform"], id="seed-scheme-flags"),
+])
+def test_cli_run_and_staged_subcommands_agree(tmp_path, capsys, overrides, flags):
     full = tmp_path / "full"
     staged = tmp_path / "staged"
-    config_path = write_config(tmp_path, chain_config(full))
+    blob = chain_config(full, **overrides)
+    config_path = write_config(tmp_path, blob)
 
-    assert main(["run", "--config", config_path]) == 0
+    assert main(["run", "--config", config_path, *flags]) == 0
     for command in ("generate", "expert", "train", "baseline"):
-        assert main([command, "--config", config_path, "--out", str(staged)]) == 0
+        assert main([command, "--config", config_path, "--out", str(staged), *flags]) == 0
 
-    # every artifact a subcommand writes is byte-identical to the full run
+    # every artifact a subcommand writes is byte-identical to the full run,
+    # and the subcommands write nothing else
     staged_names = [n for n in ARTIFACT_NAMES if n != "regret_report.json"]
+    assert sorted(os.listdir(staged)) == sorted(staged_names)
     for name in staged_names:
         assert (staged / name).read_bytes() == (full / name).read_bytes(), name
 
     capsys.readouterr()
     code = main([
         "evaluate", "--config", config_path,
-        "--theta", str(staged / "theta.json"),
+        "--theta", str(staged / "theta.json"), *flags,
     ])
     assert code == 0
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["feature_gap_vs_expert"] >= 0.0
-    assert summary["occupancy_mass"] == pytest.approx(2.0, abs=1e-9)
+    discount = blob["environment"]["discount"]
+    assert summary["occupancy_mass"] == pytest.approx(1.0 / (1.0 - discount), abs=1e-9)
     assert summary["loss_total"] >= summary["loss_objective"]
+
+
+@pytest.mark.parametrize("failure, exit_code", [
+    ("missing-m", 1),
+    ("sampler-crash", 2),
+])
+def test_cli_failing_subcommand_removes_only_its_own_files(
+    tmp_path, capsys, monkeypatch, failure, exit_code
+):
+    out = tmp_path / "staged"
+    blob = chain_config(out)
+    if failure == "missing-m":
+        blob["expert"] = {}
+    else:
+        def explode(*args, **kwargs):
+            raise RuntimeError("synthetic sampler crash")
+
+        monkeypatch.setattr("occupal.pipeline.sample_trajectories", explode)
+    config_path = write_config(tmp_path, blob)
+
+    assert main(["generate", "--config", config_path]) == 0
+    capsys.readouterr()
+    assert main(["expert", "--config", config_path]) == exit_code
+    assert "stage 'expert-trajectories'" in capsys.readouterr().err
+    # expert had written expert_policy.json before failing; generate's file stays
+    assert not (out / "expert_policy.json").exists()
+    assert sorted(os.listdir(out)) == ["mdp.json"]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"theta": [0.1, 0.2, 0.3]}', id="wrong-length"),
+    pytest.param('{"theta": [1e400, 2.0]}', id="non-finite"),
+])
+def test_cli_evaluate_rejects_a_bad_theta_file(tmp_path, capsys, text):
+    config_path = write_config(tmp_path, chain_config(tmp_path / "run"))
+    theta_path = tmp_path / "theta.json"
+    theta_path.write_text(text)
+    capsys.readouterr()
+    code = main(["evaluate", "--config", config_path, "--theta", str(theta_path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert str(theta_path) in captured.err and "d = 2" in captured.err
 
 
 def test_cli_overrides(tmp_path):
