@@ -7,31 +7,30 @@ and the master seed (stages are seeded individually, so the re-derivation
 is byte-identical to a full run).  A failing subcommand names the failing
 stage and removes only the files it wrote itself.
 
+`verify` runs each checked guarantee of occupal.properties once at small
+loop counts and judges what it measures against a tolerance; the
+acceptance suite runs the same functions at full scale.
+
 Exit codes: 0 success, 1 validation failure (bad config, bad input files,
-invalid generated objects), 2 internal error.
+invalid generated objects) or a failed verify check, 2 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 
-from .baseline import exact_al_solve, subgradient_solve
+from . import properties
 from .extraction import evaluate_theta
-from .features import (
-    brute_force_sup_gap,
-    build_feature_matrix,
-    feature_expectation,
-    l1_feature_gap,
-    sampling_constants,
-    state_action_indicator_basis,
-)
-from .mdp import make_random_mdp, occupancy_of_policy, uniform_policy
+from .features import feature_expectation
+from .mdp import occupancy_of_policy
 from .pipeline import (
     ExperimentConfig,
     PipelineError,
@@ -39,13 +38,7 @@ from .pipeline import (
     run_experiment,
     run_stages,
 )
-from .sgd import (
-    exact_subgradient,
-    project_l2_ball,
-    stochastic_subgradient,
-    subgradient_estimate,
-    surrogate_loss,
-)
+from .sgd import surrogate_loss
 
 __all__ = ["main"]
 
@@ -138,21 +131,14 @@ def _cmd_run(args):
         paths = run_experiment(config)
         print(f"wrote {len(paths)} artifacts to {config.out_dir}")
         return 0
-    configs = []
-    for i in range(n):
-        seed = config.master_seed + i
-        configs.append(
-            ExperimentConfig(
-                environment=config.environment,
-                basis=config.basis,
-                features=config.features,
-                expert=config.expert,
-                sgd=config.sgd,
-                out_dir=os.path.join(config.out_dir, f"seed-{seed}"),
-                master_seed=seed,
-                scheme=config.scheme,
-            )
+    configs = [
+        dataclasses.replace(
+            config,
+            out_dir=os.path.join(config.out_dir, f"seed-{seed}"),
+            master_seed=seed,
         )
+        for seed in range(config.master_seed, config.master_seed + n)
+    ]
     workers = min(n, os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         for cfg, result in zip(configs, pool.map(run_experiment, configs)):
@@ -160,127 +146,31 @@ def _cmd_run(args):
     return 0
 
 
-def _check_occupancy_mass(rng):
-    worst = 0.0
-    for _ in range(20):
-        mdp = make_random_mdp(6, 3, 0.8, seed=int(rng.integers(2**31)))
-        mu = occupancy_of_policy(mdp, uniform_policy(mdp))
-        worst = max(worst, abs(mu.total() - 5.0))
-    return worst <= 1e-9, f"max mass error {worst:.2e}"
-
-
-def _check_series_tail(rng):
-    from fractions import Fraction
-
-    from .rational import (
-        random_rational_mdp,
-        random_rational_policy,
-        series_tail_gaps,
-    )
-
-    bound = Fraction(2) * Fraction(1, 2) ** 20
-    for _ in range(10):
-        rmdp = random_rational_mdp(rng, 4, 2)
-        policy = random_rational_policy(rng, rmdp)
-        gap = series_tail_gaps(rmdp, policy, [20])[20]
-        if gap > bound:
-            return False, f"tail gap {float(gap):.3e} exceeds {float(bound):.3e}"
-    return True, "10 instances within the exact tail bound"
-
-
-def _check_sup_gap(rng):
-    for _ in range(50):
-        n, nc = 8, int(rng.integers(1, 7))
-        psi = rng.uniform(0.0, 1.0, size=(n, nc))
-        basis_fe_a = psi.T @ rng.uniform(0.0, 1.0, n)
-        basis_fe_b = psi.T @ rng.uniform(0.0, 1.0, n)
-        direct = l1_feature_gap(basis_fe_a, basis_fe_b)
-        brute = brute_force_sup_gap(basis_fe_a, basis_fe_b)
-        if abs(direct - brute) > 1e-12:
-            return False, f"gap mismatch {abs(direct - brute):.2e}"
-    return True, "50 triples agree to 1e-12"
-
-
-def _check_extraction_bound(rng):
-    from .extraction import extraction_report
-
-    worst = float("inf")
-    for _ in range(10):
-        mdp = make_random_mdp(5, 3, 0.7, seed=int(rng.integers(2**31)))
-        for _ in range(50):
-            u = rng.normal(0.0, 1.0, mdp.n_pairs)
-            rep = extraction_report(u, mdp)
-            worst = min(worst, rep.violation_bound - rep.l1_distance)
-    return worst >= -1e-8, f"min slack {worst:.2e}"
-
-
-def _check_unbiased(rng):
-    mdp = make_random_mdp(3, 2, 0.6, seed=7)
-    basis = state_action_indicator_basis(mdp)
-    phi = build_feature_matrix(mdp, 3, seed=11)
-    constants = sampling_constants(phi, mdp, basis, lam=2.0)
-    target = feature_expectation(occupancy_of_policy(mdp, uniform_policy(mdp)), basis)
-    for _ in range(5):
-        theta = rng.normal(0.0, 1.0, 3)
-        mean = np.zeros(3)
-        for xa in range(mdp.n_pairs):
-            for y in range(mdp.n_states):
-                g = subgradient_estimate(
-                    theta, phi, basis, mdp, target, 2.0, constants, xa, y
-                )
-                mean += constants.q1[xa] * constants.q2[y] * g
-        exact = exact_subgradient(theta, phi, basis, mdp, target, 2.0)
-        if np.abs(mean - exact).max() > 1e-10:
-            return False, f"bias {np.abs(mean - exact).max():.2e}"
-    return True, "5 exhaustive expectations match"
-
-
-def _check_gradient_bound(rng):
-    mdp = make_random_mdp(4, 2, 0.7, seed=3)
-    basis = state_action_indicator_basis(mdp)
-    phi = build_feature_matrix(mdp, 4, seed=5)
-    constants = sampling_constants(phi, mdp, basis, lam=2.0)
-    target = feature_expectation(occupancy_of_policy(mdp, uniform_policy(mdp)), basis)
-    worst = 0.0
-    for _ in range(2000):
-        theta = project_l2_ball(rng.normal(0.0, 2.0, 4), 2.0)
-        g = stochastic_subgradient(theta, phi, basis, mdp, target, 2.0, constants, rng)
-        worst = max(worst, float(np.sqrt(g @ g)) - constants.k)
-    return worst <= 1e-9, f"max excess over the norm bound {worst:.2e}"
-
-
-def _check_projection(rng):
-    for _ in range(100):
-        theta = rng.normal(0.0, 3.0, 6)
-        proj = project_l2_ball(theta, 1.5)
-        if float(np.sqrt(proj @ proj)) > 1.5 + 1e-12:
-            return False, "projection left the ball"
-        if not np.allclose(project_l2_ball(proj, 1.5), proj):
-            return False, "projection not idempotent"
-    return True, "100 projections inside the ball and idempotent"
-
-
-def _check_baseline_agreement(rng):
-    mdp = make_random_mdp(4, 2, 0.6, seed=13)
-    basis = state_action_indicator_basis(mdp)
-    target = feature_expectation(occupancy_of_policy(mdp, uniform_policy(mdp)), basis)
-    lp = exact_al_solve(mdp, basis, target)
-    sub = subgradient_solve(mdp, basis, target)
-    gap = abs(lp.objective - sub.objective)
-    return gap <= 1e-4 and sub.certified, (
-        f"|simplex - subgradient| = {gap:.2e}, certified: {sub.certified}"
-    )
-
-
+# Each verify check runs one property at small loop counts and judges what
+# it measured against the check's tolerance.  The acceptance suite runs the
+# same properties at full scale.
 _VERIFY_CHECKS = (
-    ("occupancy-mass", _check_occupancy_mass),
-    ("series-tail", _check_series_tail),
-    ("sup-gap-equality", _check_sup_gap),
-    ("extraction-bound", _check_extraction_bound),
-    ("estimate-unbiased", _check_unbiased),
-    ("gradient-norm-bound", _check_gradient_bound),
-    ("ball-projection", _check_projection),
-    ("baseline-agreement", _check_baseline_agreement),
+    ("occupancy-mass", properties.occupancy_mass_error, (20,),
+     lambda error: (error <= 1e-9, f"max mass error {error:.2e}")),
+    ("series-tail", properties.series_tail_gap, (10, 60),
+     lambda gap: (gap <= Fraction(2) * Fraction(1, 2) ** 60,
+                  f"max exact gap {float(gap):.3e} at H = 60")),
+    ("sup-gap-equality", properties.l1_gap_enumeration_error, (100,),
+     lambda error: (error <= 1e-12, f"max |direct - enumerated| = {error:.2e}")),
+    ("extraction-bound", properties.extraction_slack, (2, 100),
+     lambda slack: (slack >= -1e-8, f"min bound slack {slack:.2e}")),
+    ("estimate-unbiased", properties.estimator_bias, (2,),
+     lambda bias, _: (bias <= 1e-10, f"max bias {bias:.2e}")),
+    ("gradient-norm-bound", properties.gradient_norms, (4, 250),
+     lambda norm, k: (norm <= k * (1.0 + 1e-12), f"max ||g|| = {norm:.4f}, K = {k:.4f}")),
+    ("ball-projection", properties.ball_projection_errors, (100,),
+     lambda excess, drift: (excess <= 1e-12 and drift <= 1e-12,
+                            f"max excess {excess:.2e}, max change on reprojection "
+                            f"{drift:.2e}")),
+    ("baseline-agreement", properties.solver_agreement, (6,),
+     lambda gap, certified: (gap <= 1e-4 and certified,
+                             f"|simplex - column generation| = {gap:.2e}, "
+                             f"certified: {certified}")),
 )
 
 
@@ -288,8 +178,9 @@ def _cmd_verify(args):
     del args
     rng = np.random.default_rng(20240)
     failures = 0
-    for name, check in _VERIFY_CHECKS:
-        ok, detail = check(rng)
+    for name, measure, counts, judge in _VERIFY_CHECKS:
+        figures = measure(rng, *counts)
+        ok, detail = judge(*figures) if isinstance(figures, tuple) else judge(figures)
         print(f"{'ok  ' if ok else 'FAIL'} - {name}: {detail}")
         failures += 0 if ok else 1
     print(f"{len(_VERIFY_CHECKS) - failures}/{len(_VERIFY_CHECKS)} property suites passed")

@@ -11,6 +11,7 @@ one convention, so it is fixed here and never re-derived.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -221,7 +222,14 @@ def value_iteration(mdp, cost, tolerance=1e-10, max_sweeps=1_000_000):
     Sweeps until the sup-norm Bellman residual drops to `tolerance`; the
     greedy policy (argmin, ties to the lowest action index) is then within
     tolerance * (1 + g) / (1 - g) of optimal.  Returns (Policy, values).
+    `tolerance` must be positive and finite: a residual may never reach
+    zero, no residual compares below NaN, and an infinite tolerance stops
+    after one sweep without a bound.
     """
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(
+            f"value iteration needs a positive finite tolerance, got {tolerance!r}"
+        )
     cost = np.asarray(cost, dtype=float)
     v = np.zeros(mdp.n_states)
     for _ in range(max_sweeps):

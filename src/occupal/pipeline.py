@@ -219,7 +219,19 @@ def _build_basis(spec, mdp):
 def _build_features(spec, mdp, seed):
     if spec.get("kind") == "file":
         _require(spec, "features", "path")
-        return load_features(spec["path"])
+        path = spec["path"]
+        try:
+            features = load_features(path)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: unreadable feature file ({exc})") from exc
+        phi = features.phi
+        if (phi.ndim != 2 or phi.shape[0] != mdp.n_pairs or phi.shape[1] < 1
+                or not np.isfinite(phi).all()):
+            raise ValueError(
+                f"{path}: features must be a finite {mdp.n_pairs} x d matrix "
+                f"with d >= 1, got shape {phi.shape}"
+            )
+        return features
     _require(spec, "features", "d")
     return build_feature_matrix(
         mdp, int(spec["d"]), seed=seed, beta=float(spec.get("beta", 1.0e-3))

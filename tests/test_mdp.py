@@ -274,6 +274,13 @@ def test_value_iteration_bellman_residual():
     assert residual <= tolerance
 
 
+@pytest.mark.parametrize("tolerance", [-1.0, 0.0, float("nan"), float("inf")])
+def test_value_iteration_rejects_a_tolerance_it_cannot_use(tolerance):
+    # -1 and nan would sweep max_sweeps times; inf would stop unconverged
+    with pytest.raises(ValueError, match="positive finite tolerance"):
+        value_iteration(CHAIN, chain_cost(), tolerance=tolerance)
+
+
 # ---------------------------------------------------------------------------
 # generators
 

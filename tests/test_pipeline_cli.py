@@ -7,8 +7,9 @@ config gives an accuracy pair instead of explicit settings, together with
 whether the expert batch meets the pair's sample size.  The CLI must
 expose every stage as a stateless subcommand whose outputs match a full
 run, remove only its own files when a stage fails, reject a malformed
-theta file, and report validation failures and internal errors through
-its exit code.
+theta file, feature file or value-iteration tolerance, fail `verify` when
+a property misses its tolerance, and report validation failures and
+internal errors through its exit code.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ from occupal import (
     build_feature_matrix,
     empirical_feature_expectation,
     hoeffding_sample_size,
+    l1_feature_gap,
     load_trajectories,
     make_chain,
     region_indicator_basis,
@@ -407,6 +409,17 @@ def test_cli_verify_passes():
     assert main(["verify"]) == 0
 
 
+def test_cli_verify_fails_when_a_property_misses_its_tolerance(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "occupal.properties.l1_feature_gap", lambda a, b: l1_feature_gap(a, b) + 1e-9
+    )
+    assert main(["verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL - sup-gap-equality:")
+    assert lines[-1] == "7/8 property suites passed"
+
+
 def test_cli_validation_exit_codes(tmp_path):
     # missing config file
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 1
@@ -430,6 +443,31 @@ def test_cli_validation_exit_codes(tmp_path):
     bad_file = chain_config(tmp_path / "z")
     bad_file["basis"] = {"kind": "file", "path": str(tmp_path / "nope.npz")}
     assert main(["run", "--config", write_config(tmp_path, bad_file, "file.json")]) == 1
+
+
+def test_cli_rejects_a_value_iteration_tolerance_it_cannot_meet(tmp_path, capsys):
+    blob = chain_config(tmp_path / "run", expert={"m": 50, "vi_tolerance": -1})
+    assert main(["expert", "--config", write_config(tmp_path, blob)]) == 1
+    assert "stage 'expert-policy'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows, cols, data", [
+    pytest.param(4, 2, [0.5, float("nan"), 0.5, 0.5, 0.5, 0.5, 0.5, 0.5], id="nan"),
+    pytest.param(3, 2, [0.5] * 6, id="three-rows"),
+    pytest.param(4, 0, [], id="no-columns"),
+    pytest.param(4, 2, [0.5] * 6, id="short-data"),
+])
+def test_cli_rejects_a_bad_feature_file(tmp_path, capsys, rows, cols, data):
+    features_path = tmp_path / "phi.json"
+    features_path.write_text(json.dumps(
+        {"rows": rows, "cols": cols, "beta": 1e-3, "seed": None, "data_colmajor": data}
+    ))
+    blob = chain_config(
+        tmp_path / "run", features={"kind": "file", "path": str(features_path)}
+    )
+    assert main(["train", "--config", write_config(tmp_path, blob)]) == 1
+    err = capsys.readouterr().err
+    assert "stage 'features'" in err and str(features_path) in err
 
 
 def test_cli_internal_error_exit_codes(tmp_path, monkeypatch):
