@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import _vector_of
+from .features import _target_vector
 from .mdp import (
     OccupancyMeasure,
     deterministic_policy,
@@ -231,17 +231,6 @@ def _l1_program(mdp, psi, b_target):
     b_eq = np.concatenate([mdp.initial_dist, b_target])
     costs = np.concatenate([np.zeros(n), np.ones(2 * nc)])
     return costs, a_eq, b_eq
-
-
-def _target_vector(basis, target):
-    """The target as a float vector; raises ValueError unless it has one
-    finite entry per basis column."""
-    b_target = _vector_of(target)
-    if b_target.shape != (basis.n_costs,) or not np.all(np.isfinite(b_target)):
-        raise ValueError(
-            f"target must be {basis.n_costs} finite numbers, got {b_target!r}"
-        )
-    return b_target
 
 
 def _sign_probe(mdp, psi, b_target):

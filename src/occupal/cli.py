@@ -65,15 +65,15 @@ _EVALUATE_STAGES = ("environment", "expert-policy", "basis", "features")
 def _load_config(args):
     with open(args.config) as fh:
         blob = json.load(fh)
-    scheme = getattr(args, "scheme", None)
-    if scheme is not None:
-        blob = dict(blob)
-        blob["scheme"] = scheme
-    return ExperimentConfig.from_json(
+    config = ExperimentConfig.from_json(
         blob,
         out_dir=getattr(args, "out", None),
         master_seed=getattr(args, "seed", None),
     )
+    scheme = getattr(args, "scheme", None)
+    if scheme is not None:
+        config = dataclasses.replace(config, scheme=scheme)
+    return config
 
 
 def _cmd_slice(args):

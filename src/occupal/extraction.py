@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureMatrix, feature_expectation, l1_feature_gap
+from .features import _phi_array, feature_expectation, l1_feature_gap
 from .mdp import OccupancyMeasure, Policy, flow_residual, occupancy_of_policy
 
 __all__ = [
@@ -93,7 +93,7 @@ def evaluate_theta(theta, phi, basis, mdp, expert_fe):
     policy's feature expectation and `expert_fe` (an estimator object or a
     plain vector).
     """
-    phi_arr = phi.phi if isinstance(phi, FeatureMatrix) else np.asarray(phi)
+    phi_arr = _phi_array(phi)
     policy = policy_from_vector(phi_arr @ np.asarray(theta, dtype=float), mdp)
     mu = occupancy_of_policy(mdp, policy)
     gap = l1_feature_gap(feature_expectation(mu, basis), expert_fe)

@@ -144,6 +144,22 @@ def _vector_of(mu):
     return np.asarray(mu, dtype=float)
 
 
+def _target_vector(basis, target):
+    """The target as a float vector; raises ValueError unless it has one
+    finite entry per basis column."""
+    b_target = _vector_of(target)
+    if b_target.shape != (basis.n_costs,) or not np.all(np.isfinite(b_target)):
+        raise ValueError(
+            f"target must be {basis.n_costs} finite numbers, got {b_target!r}"
+        )
+    return b_target
+
+
+def _phi_array(phi):
+    """The Phi array of a FeatureMatrix or of an array-like."""
+    return phi.phi if isinstance(phi, FeatureMatrix) else np.asarray(phi)
+
+
 def feature_expectation(mu, basis):
     """Feature expectation Psi^T mu as a flat vector of length n_costs."""
     return basis.psi.T @ _vector_of(mu)
@@ -209,7 +225,7 @@ def build_feature_matrix(mdp, d, seed, beta=1.0e-3):
 
 def flow_feature_rows(phi, mdp):
     """Rows (B - g P)^T Phi, one per state: the flow image of the features."""
-    phi = phi.phi if isinstance(phi, FeatureMatrix) else np.asarray(phi)
+    phi = _phi_array(phi)
     summed = phi.reshape(mdp.n_states, mdp.n_actions, -1).sum(axis=1)
     return summed - mdp.discount * (mdp.transition.T @ phi)
 
@@ -234,7 +250,7 @@ def sampling_constants(phi, mdp, basis, lam, scheme="norm"):
         raise ValueError(f"penalty weight must be >= 0, got {lam}")
     if scheme not in ("norm", "uniform"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    phi_arr = phi.phi if isinstance(phi, FeatureMatrix) else np.asarray(phi)
+    phi_arr = _phi_array(phi)
     row_norms = np.linalg.norm(phi_arr, axis=1)
     flow_norms = np.linalg.norm(flow_feature_rows(phi_arr, mdp), axis=1)
     if scheme == "norm":

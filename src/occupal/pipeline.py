@@ -127,6 +127,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json(blob, out_dir=None, master_seed=None):
+        if not isinstance(blob, dict):
+            raise ValueError(f"config must be a JSON object, got {blob!r}")
         blob = dict(blob)
         if out_dir is not None:
             blob["out_dir"] = out_dir
@@ -140,6 +142,11 @@ class ExperimentConfig:
         ]
         if missing:
             raise ValueError(f"config missing fields: {missing}")
+        for key in ("environment", "basis", "features", "expert", "sgd"):
+            if not isinstance(blob[key], dict):
+                raise ValueError(
+                    f"config field {key!r} must be a JSON object, got {blob[key]!r}"
+                )
         return ExperimentConfig(
             environment=dict(blob["environment"]),
             basis=dict(blob["basis"]),
@@ -207,7 +214,11 @@ def _build_basis(spec, mdp):
         basis = region_indicator_basis(mdp, int(spec["n_blocks"]))
     elif kind == "file":
         _require(spec, "basis", "path")
-        basis = load_basis(spec["path"])
+        path = spec["path"]
+        try:
+            basis = load_basis(path)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: unreadable basis file ({exc})") from exc
     else:
         raise ValueError(f"unknown basis kind {kind!r}")
     problems = [p for p in validate_basis(basis, mdp) if not p.startswith("warning:")]

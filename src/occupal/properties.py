@@ -26,12 +26,7 @@ from .features import (
 )
 from .mdp import make_random_mdp, occupancy_of_policy, uniform_policy
 from .rational import random_rational_mdp, random_rational_policy, series_tail_gaps
-from .sgd import (
-    exact_subgradient,
-    project_l2_ball,
-    stochastic_subgradient,
-    subgradient_estimate,
-)
+from .sgd import SubgradientEstimator, exact_subgradient, project_l2_ball
 
 __all__ = [
     "l1_gap_enumeration_error",
@@ -109,14 +104,13 @@ def estimator_bias(rng, n_thetas):
         target = feature_expectation(
             occupancy_of_policy(mdp, uniform_policy(mdp)), basis
         )
+        estimator = SubgradientEstimator(phi, basis, mdp, target, constants)
         for _ in range(n_thetas):
             theta = project_l2_ball(rng.normal(0.0, 1.0, 4), 2.0)
             mean = np.zeros(4)
             for pair in range(mdp.n_pairs):
                 for state in range(mdp.n_states):
-                    g = subgradient_estimate(
-                        theta, phi, basis, mdp, target, lam, constants, pair, state
-                    )
+                    g = estimator.estimate(theta, (pair,), (state,))
                     mean += constants.q1[pair] * constants.q2[state] * g
             exact = exact_subgradient(theta, phi, basis, mdp, target, lam)
             worst = max(worst, float(np.abs(mean - exact).max()))
@@ -131,13 +125,12 @@ def gradient_norms(rng, n_thetas, n_draws):
     lam = 3.0
     constants = sampling_constants(phi, mdp, basis, lam)
     target = feature_expectation(occupancy_of_policy(mdp, uniform_policy(mdp)), basis)
+    estimator = SubgradientEstimator(phi, basis, mdp, target, constants)
     worst = 0.0
     for _ in range(n_thetas):
         theta = project_l2_ball(rng.normal(0.0, 2.0, 5), 2.0)
         for _ in range(n_draws):
-            g = stochastic_subgradient(
-                theta, phi, basis, mdp, target, lam, constants, rng
-            )
+            g = estimator.sample(theta, rng)
             worst = max(worst, float(np.sqrt(g @ g)))
     return worst, constants.k
 

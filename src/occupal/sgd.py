@@ -8,13 +8,16 @@ norm never exceeds the constant K carried by SamplingConstants; the loop
 asserts that bound at every step.  Iterates are projected onto the l2 ball
 of radius rho and their running mean is the returned solution.
 
-One estimator, _Estimator, built once per run, forms every estimate: the
-training loop steps with it and subgradient_estimate wraps it, so the
-exhaustive unbiasedness checks test the code that trains.  An estimate
+SubgradientEstimator is that estimator for one problem instance, built
+once: it draws the (pair, state) indices, forms the estimate at given
+indices and samples both in one call.  The training loop draws and steps
+with it, and the unbiasedness and norm checks build one per instance, so
+they test the code that trains.  It takes lam, q1 and q2 from the
+SamplingConstants, so K bounds every estimate it forms.  An estimate
 depends on the iterate only through a few signs (of the cost residuals,
 of each drawn state's flow residual, of each drawn pair's measure), and
-a run meets few distinct sign keys, so the estimator memoises each key's
-(norm, step) and forms an estimate only for a new key.  The loop forms
+a run meets few distinct sign keys, so the training step memoises each
+key's (norm, step) and forms an estimate only for a new key.  The loop forms
 theta . theta only when an upper bound on the iterate's norm reaches rho.
 The loop keeps the iterates of each chunk of steps in a fixed buffer,
 adds them to the running sum and records their losses once per chunk,
@@ -30,7 +33,7 @@ import numpy as np
 
 from .expert import hoeffding_sample_size
 from .extraction import policy_from_vector
-from .features import FeatureMatrix, _vector_of, flow_feature_rows
+from .features import _phi_array, _target_vector, _vector_of, flow_feature_rows
 
 __all__ = [
     "SgdConfig",
@@ -40,8 +43,7 @@ __all__ = [
     "project_l2_ball",
     "surrogate_loss",
     "exact_subgradient",
-    "subgradient_estimate",
-    "stochastic_subgradient",
+    "SubgradientEstimator",
     "run_sgd_al",
     "certified_schedule",
 ]
@@ -134,10 +136,6 @@ def project_l2_ball(theta, rho):
     return theta * (rho / norm)
 
 
-def _phi_array(phi):
-    return phi.phi if isinstance(phi, FeatureMatrix) else np.asarray(phi)
-
-
 def surrogate_loss(theta, phi, basis, mdp, target, lam):
     """Loss breakdown at theta; total = objective + lam * (v1 + v2)."""
     phi_arr = _phi_array(phi)
@@ -169,37 +167,41 @@ def exact_subgradient(theta, phi, basis, mdp, target, lam):
 _MEMO_ELEMENTS = 1 << 15
 
 
-class _Estimator:
-    """The subgradient estimator and loss recorder of one problem instance.
+class SubgradientEstimator:
+    """The stochastic subgradient estimator of one problem instance.
 
-    Built once from (Phi, Psi, target, lam, q1, q2): A = Psi^T Phi, the flow
-    rows of Phi, and the penalty rows t2 = lam/q2 * flow and t3 = lam/q1 *
-    Phi, each scaled by 1/batch.  `_signs` finds every sign an estimate
-    branches on and `_from_signs` forms the estimate from them; `estimate`
-    and the memoised `step` are built on these two alone.  `losses`
-    evaluates stored iterates in a way that reproduces the one-at-a-time
-    loss bit for bit.
+    Built once from (Phi, Psi, target) and the SamplingConstants' lam, q1
+    and q2: A = Psi^T Phi, the flow rows of Phi, the cumulative sums of q1
+    and q2, and the penalty rows t2 = lam/q2 * flow and t3 = lam/q1 * Phi,
+    each scaled by 1/batch.  Each estimate averages `batch` (pair, state)
+    draws, and its l2 norm is at most constants.k.
+
+    `draw` is the inverse-CDF draw of the indices, `estimate` the estimate
+    at given indices, and `sample` the two together.  `_signs` finds every
+    sign an estimate branches on and `_from_signs` forms the estimate from
+    them; `estimate` and the memoised `step` are built on these two alone.
+    `losses` evaluates stored iterates in a way that reproduces the
+    one-at-a-time loss bit for bit.
     """
 
-    def __init__(self, phi_arr, basis, mdp, target, lam, q1, q2, batch=1, eta=1.0):
-        target = _vector_of(target)
-        if target.shape != (basis.n_costs,) or not np.isfinite(target).all():
-            raise ValueError(
-                f"target must be {basis.n_costs} finite numbers, got {target!r}"
-            )
-        self.target = target
+    def __init__(self, phi, basis, mdp, target, constants, batch=1, eta=1.0):
+        phi_arr = _phi_array(phi)
+        self.target = _target_vector(basis, target)
         self.a_mat = basis.psi.T @ phi_arr  # (n_c, d)
         self.a_t = np.ascontiguousarray(self.a_mat.T)
         self.phi = phi_arr
         self.flow = flow_feature_rows(phi_arr, mdp)  # (S, d)
         self.nu0 = mdp.initial_dist
-        scale = lam / batch
+        self.batch = batch
+        self.cum1 = np.cumsum(constants.q1)
+        self.cum2 = np.cumsum(constants.q2)
+        scale = constants.lam / batch
         # per-row lists: indexing a list is cheaper than indexing an array
         self.flow_rows = list(self.flow)
         self.nu0_list = self.nu0.tolist()
-        self.t2_rows = list((scale / q2)[:, None] * self.flow)
+        self.t2_rows = list((scale / constants.q2)[:, None] * self.flow)
         self.phi_rows = list(phi_arr)
-        self.t3_rows = list((scale / q1)[:, None] * phi_arr)
+        self.t3_rows = list((scale / constants.q1)[:, None] * phi_arr)
         self.eta = eta
         self._memo = {}
         self._memo_cap = max(
@@ -243,14 +245,38 @@ class _Estimator:
                 g -= t3_rows[code]
         return g
 
+    def draw(self, rng, n):
+        """(pairs, states): n lists of batch indices each, drawn from q1 and q2.
+
+        Consumes rng.random((n, 2 * batch)); the first batch columns pick
+        the pairs and the rest the states, by inverse CDF.
+        """
+        u = rng.random((n, 2 * self.batch))
+        pairs = np.minimum(
+            np.searchsorted(self.cum1, u[:, : self.batch], side="right"),
+            self.cum1.size - 1,
+        )
+        states = np.minimum(
+            np.searchsorted(self.cum2, u[:, self.batch :], side="right"),
+            self.cum2.size - 1,
+        )
+        return pairs.tolist(), states.tolist()
+
     def estimate(self, theta, pairs, states):
         """Estimate at theta from one batch of drawn pairs and states.
 
         The penalty rows carry the 1/batch factor, so this is the mean of
-        the single-draw estimates.
+        the single-draw estimates.  Averaging the single-draw estimate over
+        pair ~ q1 and state ~ q2 reproduces exact_subgradient.
         """
+        theta = np.asarray(theta, dtype=float)
         cost_signs, key = self._signs(theta, pairs, states)
         return self._from_signs(cost_signs, key, len(states))
+
+    def sample(self, theta, rng):
+        """Estimate at theta from one draw; consumes rng.random((1, 2 * batch))."""
+        pairs, states = self.draw(rng, 1)
+        return self.estimate(theta, pairs[0], states[0])
 
     def step(self, theta, pairs, states, memoise):
         """(||g||, eta * g) for the estimate g at theta.
@@ -297,34 +323,6 @@ def _row_products(iterates, m):
     return out
 
 
-def subgradient_estimate(
-    theta, phi, basis, mdp, target, lam, constants, pair_index, state_index
-):
-    """Single-draw estimate given the sampled pair and state indices.
-
-    Averaging this over pair_index ~ q1 and state_index ~ q2 reproduces
-    exact_subgradient; the estimate's l2 norm is at most constants.k.  It is
-    the estimate run_sgd_al forms at a step that drew these indices.
-    """
-    kernel = _Estimator(
-        _phi_array(phi), basis, mdp, target, lam, constants.q1, constants.q2
-    )
-    theta = np.asarray(theta, dtype=float)
-    return kernel.estimate(theta, (int(pair_index),), (int(state_index),))
-
-
-def stochastic_subgradient(theta, phi, basis, mdp, target, lam, constants, rng):
-    """Draw (pair, state) from (q1, q2) and return the subgradient estimate."""
-    cum1 = np.cumsum(constants.q1)
-    cum2 = np.cumsum(constants.q2)
-    u1, u2 = rng.random(2)
-    pair = min(int(np.searchsorted(cum1, u1, side="right")), constants.q1.size - 1)
-    state = min(int(np.searchsorted(cum2, u2, side="right")), constants.q2.size - 1)
-    return subgradient_estimate(
-        theta, phi, basis, mdp, target, lam, constants, pair, state
-    )
-
-
 # Bound on steps per chunk times state-action pairs, the size of the
 # (chunk, n_pairs) array that a chunk's loss recording holds: 512 KB.
 _CHUNK_ELEMENTS = 1 << 16
@@ -334,8 +332,9 @@ def run_sgd_al(config, phi, basis, mdp, target, constants):
     """Averaged projected stochastic subgradient descent.
 
     Starts from theta = 0; step t draws (pair, state), forms the estimate
-    at the current iterate and takes the projected step.  The loss of each
-    new iterate is recorded once per chunk of steps from the stored
+    at the current iterate and takes the projected step.  The draws of a
+    chunk of steps come from one call of the estimator's `draw`, and the
+    loss of each new iterate is recorded once per chunk from the stored
     iterates.  Returns the trace (whose theta_avg is the mean of iterates
     1..T) and the policy extracted from Phi theta_avg.
 
@@ -347,17 +346,14 @@ def run_sgd_al(config, phi, basis, mdp, target, constants):
         raise ValueError(
             f"constants built for lam={constants.lam}, config has {config.lam}"
         )
-    phi_arr = _phi_array(phi)
-    n_pairs, dim = phi_arr.shape
     lam, eta, rho = config.lam, config.eta, config.rho
-    batch = config.batch_size
     T = config.iterations
-    kernel = _Estimator(
-        phi_arr, basis, mdp, target, lam, constants.q1, constants.q2, batch, eta
+    kernel = SubgradientEstimator(
+        phi, basis, mdp, target, constants, config.batch_size, eta
     )
     step = kernel.step
-    cum1 = np.cumsum(constants.q1)
-    cum2 = np.cumsum(constants.q2)
+    phi_arr = kernel.phi
+    n_pairs, dim = phi_arr.shape
     k_limit = constants.k * (1.0 + 1e-9)
     rho_sq = rho * rho
     chunk = max(1, _CHUNK_ELEMENTS // n_pairs)
@@ -382,13 +378,7 @@ def run_sgd_al(config, phi, basis, mdp, target, constants):
     for start in range(0, T, chunk):
         stop = min(start + chunk, T)
         block = stop - start
-        draws = rng.random((block, 2 * batch))
-        pair_idx = np.minimum(
-            np.searchsorted(cum1, draws[:, :batch], side="right"), n_pairs - 1
-        ).tolist()
-        state_idx = np.minimum(
-            np.searchsorted(cum2, draws[:, batch:], side="right"), mdp.n_states - 1
-        ).tolist()
+        pair_idx, state_idx = kernel.draw(rng, block)
         iterates[0] = theta_sum
         norms = []
         for t, (pairs, states) in enumerate(zip(pair_idx, state_idx), start + 1):

@@ -11,6 +11,7 @@ import pytest
 
 from occupal import (
     CostBasis,
+    SubgradientEstimator,
     brute_force_sup_gap,
     build_feature_matrix,
     deterministic_policy,
@@ -29,7 +30,6 @@ from occupal import (
     save_basis,
     save_features,
     state_action_indicator_basis,
-    stochastic_subgradient,
     uniform_policy,
     validate_basis,
 )
@@ -242,13 +242,12 @@ def test_k_bounds_sampled_gradient_norms():
     constants = sampling_constants(phi, CHAIN, basis, lam=1.0, scheme="norm")
     mu = occupancy_of_policy(CHAIN, uniform_policy(CHAIN))
     target = feature_expectation(mu, basis)
+    estimator = SubgradientEstimator(phi, basis, CHAIN, target, constants)
     rng = np.random.default_rng(9)
     worst = 0.0
     for _ in range(100_000):
         theta = rng.normal(0.0, 1.0, 2)
-        g = stochastic_subgradient(
-            theta, phi, basis, CHAIN, target, 1.0, constants, rng
-        )
+        g = estimator.sample(theta, rng)
         worst = max(worst, float(np.sqrt(g @ g)))
     assert worst <= constants.k * (1.0 + 1e-12)
 

@@ -7,9 +7,9 @@ config gives an accuracy pair instead of explicit settings, together with
 whether the expert batch meets the pair's sample size.  The CLI must
 expose every stage as a stateless subcommand whose outputs match a full
 run, remove only its own files when a stage fails, reject a malformed
-theta file, feature file or value-iteration tolerance, fail `verify` when
-a property misses its tolerance, and report validation failures and
-internal errors through its exit code.
+theta file, feature file, basis file, config shape or value-iteration
+tolerance, fail `verify` when a property misses its tolerance, and report
+validation failures and internal errors through its exit code.
 """
 
 import hashlib
@@ -445,6 +445,22 @@ def test_cli_validation_exit_codes(tmp_path):
     assert main(["run", "--config", write_config(tmp_path, bad_file, "file.json")]) == 1
 
 
+@pytest.mark.parametrize("field", [
+    None, "environment", "basis", "features", "expert", "sgd",
+])
+def test_cli_rejects_a_config_of_the_wrong_shape(tmp_path, capsys, field):
+    """A config that is not an object, or a section that is not one, is a
+    validation failure that names the offending field."""
+    if field is None:
+        blob, name = [1], "config"
+    else:
+        blob, name = chain_config(tmp_path / "run", **{field: 3}), repr(field)
+    with pytest.raises(ValueError, match=name):
+        ExperimentConfig.from_json(blob)
+    assert main(["run", "--config", write_config(tmp_path, blob)]) == 1
+    assert name in capsys.readouterr().err
+
+
 def test_cli_rejects_a_value_iteration_tolerance_it_cannot_meet(tmp_path, capsys):
     blob = chain_config(tmp_path / "run", expert={"m": 50, "vi_tolerance": -1})
     assert main(["expert", "--config", write_config(tmp_path, blob)]) == 1
@@ -468,6 +484,19 @@ def test_cli_rejects_a_bad_feature_file(tmp_path, capsys, rows, cols, data):
     assert main(["train", "--config", write_config(tmp_path, blob)]) == 1
     err = capsys.readouterr().err
     assert "stage 'features'" in err and str(features_path) in err
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"psi": [[1.0]]}', id="no-rows"),
+    pytest.param("[1, 2]", id="not-an-object"),
+])
+def test_cli_rejects_a_malformed_basis_file(tmp_path, capsys, text):
+    basis_path = tmp_path / "b.json"
+    basis_path.write_text(text)
+    blob = chain_config(tmp_path / "run", basis={"kind": "file", "path": str(basis_path)})
+    assert main(["run", "--config", write_config(tmp_path, blob)]) == 1
+    err = capsys.readouterr().err
+    assert "stage 'basis'" in err and str(basis_path) in err
 
 
 def test_cli_internal_error_exit_codes(tmp_path, monkeypatch):

@@ -20,6 +20,7 @@ from occupal import sgd
 from occupal import (
     LossBreakdown,
     SgdConfig,
+    SubgradientEstimator,
     build_feature_matrix,
     certified_schedule,
     deterministic_policy,
@@ -36,8 +37,6 @@ from occupal import (
     run_sgd_al,
     sampling_constants,
     state_action_indicator_basis,
-    stochastic_subgradient,
-    subgradient_estimate,
     surrogate_loss,
     value_iteration,
 )
@@ -182,14 +181,13 @@ def test_estimate_is_unbiased_exhaustively():
         target = rng.normal(0.0, 1.0, basis.psi.shape[1])
         lam = float(rng.uniform(0.5, 3.0))
         constants = sampling_constants(phi, mdp, basis, lam)
+        estimator = SubgradientEstimator(phi, basis, mdp, target, constants)
         for _ in range(10):
             theta = rng.normal(0.0, 1.5, 3)
             mean = np.zeros(3)
             for xa in range(mdp.n_pairs):
                 for y in range(mdp.n_states):
-                    g = subgradient_estimate(
-                        theta, phi, basis, mdp, target, lam, constants, xa, y
-                    )
+                    g = estimator.estimate(theta, (xa,), (y,))
                     mean += constants.q1[xa] * constants.q2[y] * g
             exact = exact_subgradient(theta, phi, basis, mdp, target, lam)
             assert np.abs(mean - exact).max() < 1e-10
@@ -200,13 +198,12 @@ def test_zero_penalty_estimate_is_deterministic():
     mdp, phi, basis = _random_instance(25)
     target = rng.normal(0.0, 1.0, basis.psi.shape[1])
     constants = sampling_constants(phi, mdp, basis, 0.0)
+    estimator = SubgradientEstimator(phi, basis, mdp, target, constants)
     theta = rng.normal(0.0, 1.0, 3)
     exact = exact_subgradient(theta, phi, basis, mdp, target, 0.0)
     for xa in range(mdp.n_pairs):
         for y in range(mdp.n_states):
-            g = subgradient_estimate(
-                theta, phi, basis, mdp, target, 0.0, constants, xa, y
-            )
+            g = estimator.estimate(theta, (xa,), (y,))
             assert np.abs(g - exact).max() < 1e-14
 
 
@@ -216,11 +213,9 @@ def test_stochastic_draws_average_to_exact():
     target = rng.normal(0.0, 1.0, basis.psi.shape[1])
     lam = 2.0
     constants = sampling_constants(phi, mdp, basis, lam)
+    estimator = SubgradientEstimator(phi, basis, mdp, target, constants)
     theta = rng.normal(0.0, 1.0, 3)
-    draws = np.array([
-        stochastic_subgradient(theta, phi, basis, mdp, target, lam, constants, rng)
-        for _ in range(20_000)
-    ])
+    draws = np.array([estimator.sample(theta, rng) for _ in range(20_000)])
     exact = exact_subgradient(theta, phi, basis, mdp, target, lam)
     se = draws.std(axis=0, ddof=1) / math.sqrt(draws.shape[0])
     assert (np.abs(draws.mean(axis=0) - exact) <= 4.0 * se + 1e-12).all()
@@ -233,11 +228,10 @@ def test_estimate_norm_never_exceeds_k():
         target = rng.normal(0.0, 1.0, basis.psi.shape[1])
         lam = 3.0
         constants = sampling_constants(phi, mdp, basis, lam, scheme=scheme)
+        estimator = SubgradientEstimator(phi, basis, mdp, target, constants)
         for _ in range(2000):
             theta = project_l2_ball(rng.normal(0.0, 2.0, 3), 2.0)
-            g = stochastic_subgradient(
-                theta, phi, basis, mdp, target, lam, constants, rng
-            )
+            g = estimator.sample(theta, rng)
             assert math.sqrt(float(g @ g)) <= constants.k * (1.0 + 1e-9)
 
 
@@ -290,9 +284,8 @@ def test_single_step_unrolls_by_hand():
     cum1, cum2 = np.cumsum(constants.q1), np.cumsum(constants.q2)
     pair = min(int(np.searchsorted(cum1, u1, side="right")), 3)
     state = min(int(np.searchsorted(cum2, u2, side="right")), 1)
-    g = subgradient_estimate(
-        np.zeros(4), CHAIN_PHI, CHAIN_BASIS, CHAIN, target, 5.0, constants, pair, state
-    )
+    estimator = SubgradientEstimator(CHAIN_PHI, CHAIN_BASIS, CHAIN, target, constants)
+    g = estimator.estimate(np.zeros(4), (pair,), (state,))
     expected = project_l2_ball(-eta * g, rho)
     assert np.abs(trace.theta_avg - expected).max() < 1e-12
     loss = surrogate_loss(expected, CHAIN_PHI, CHAIN_BASIS, CHAIN, target, 5.0)
@@ -438,10 +431,8 @@ def test_training_matches_reference_loop_bit_for_bit(instance):
     expected_policy = policy_from_vector(phi_arr @ theta_avg, mdp)
     assert np.array_equal(policy.probs, expected_policy.probs)
     # the public estimator is the loop's estimator
-    g = subgradient_estimate(
-        np.zeros(phi_arr.shape[1]), phi, basis, mdp, target, lam, constants,
-        pair, state,
-    )
+    estimator = SubgradientEstimator(phi, basis, mdp, target, constants)
+    g = estimator.estimate(np.zeros(phi_arr.shape[1]), (pair,), (state,))
     assert np.array_equal(g, first)
 
 
@@ -468,9 +459,7 @@ def _batched_reference(config, phi, basis, mdp, target, constants):
     n_pairs, dim = phi_arr.shape
     lam, eta, rho = config.lam, config.eta, config.rho
     batch, T = config.batch_size, config.iterations
-    kernel = sgd._Estimator(
-        phi_arr, basis, mdp, target, lam, constants.q1, constants.q2, batch
-    )
+    kernel = SubgradientEstimator(phi_arr, basis, mdp, target, constants, batch)
 
     def estimate(theta, pairs, states):
         g = kernel.a_t.dot(np.sign(kernel.a_mat.dot(theta) - kernel.target))
@@ -560,7 +549,7 @@ def test_step_memo_stays_at_its_cap(monkeypatch):
     phi, basis, mdp, target, constants, lam = _wide_setup()
     cfg = SgdConfig(rho=0.5, lam=lam, eta=1e-3, iterations=3_000, seed=49)
     kernels, misses = [], []
-    init, build = sgd._Estimator.__init__, sgd._Estimator._from_signs
+    init, build = SubgradientEstimator.__init__, SubgradientEstimator._from_signs
 
     def recorded(self, *args):
         init(self, *args)
@@ -570,8 +559,8 @@ def test_step_memo_stays_at_its_cap(monkeypatch):
         misses.append(1)
         return build(self, *args)
 
-    monkeypatch.setattr(sgd._Estimator, "__init__", recorded)
-    monkeypatch.setattr(sgd._Estimator, "_from_signs", counted)
+    monkeypatch.setattr(SubgradientEstimator, "__init__", recorded)
+    monkeypatch.setattr(SubgradientEstimator, "_from_signs", counted)
 
     def traced_peak():
         tracemalloc.start()
@@ -605,9 +594,7 @@ def test_nonfinite_or_misshapen_target_is_rejected():
         with pytest.raises(ValueError, match="target"):
             run_sgd_al(cfg, CHAIN_PHI, CHAIN_BASIS, CHAIN, bad, constants)
         with pytest.raises(ValueError, match="target"):
-            subgradient_estimate(
-                np.zeros(4), CHAIN_PHI, CHAIN_BASIS, CHAIN, bad, 5.0, constants, 0, 0
-            )
+            SubgradientEstimator(CHAIN_PHI, CHAIN_BASIS, CHAIN, bad, constants)
 
 
 def test_nan_step_is_caught_by_the_norm_guard():
