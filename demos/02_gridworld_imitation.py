@@ -30,7 +30,7 @@ from occupal.extraction import evaluate_theta, extraction_report
 from occupal.sgd import SgdConfig, flow_feature_rows, run_sgd_al, surrogate_loss
 
 print("== Environment and expert ==")
-mdp, true_cost = make_gridworld(4, 4, 0.9, slip_prob=0.1, seed=11)
+mdp, true_cost = make_gridworld(4, 4, 0.9, slip_prob=0.1)
 basis = region_indicator_basis(mdp, 4)  # 4 cost features: one per board region
 phi = build_feature_matrix(mdp, 6, seed=12)  # 6-dimensional candidate space
 expert, _ = value_iteration(mdp, true_cost, tolerance=1e-10)

@@ -36,11 +36,14 @@ class EmpiricalFeatureExpectation:
     truncation_bound: float
 
 
-def default_horizon(gamma, tail=1.0e-9):
-    """Smallest H with series tail g^H / (1 - g) <= `tail`."""
+_HORIZON_TAIL = 1.0e-9
+
+
+def default_horizon(gamma):
+    """Smallest H with series tail g^H / (1 - g) <= 1e-9."""
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"discount {gamma} outside (0, 1)")
-    return max(1, math.ceil(math.log(tail * (1.0 - gamma)) / math.log(gamma)))
+    return max(1, math.ceil(math.log(_HORIZON_TAIL * (1.0 - gamma)) / math.log(gamma)))
 
 
 def hoeffding_sample_size(n_costs, gamma, epsilon, delta):

@@ -86,11 +86,11 @@ class SamplingConstants:
 
 
 def validate_basis(basis, mdp=None):
-    """List of problems; entries starting with 'warning:' are non-fatal.
+    """List of problems (empty list = valid).
 
-    Sign-carrying columns are legal but worth flagging: the estimator bound
-    and the brute-force gap oracle both assume entries in [-1, 1], and most
-    constructions here keep them in [0, 1].
+    Psi must be 2-d and finite, with one row per state-action pair of `mdp`
+    (when given) and every entry in [-1, 1], the range certified_schedule
+    and brute_force_sup_gap assume.  Signed entries are legal.
     """
     problems = []
     psi = basis.psi
@@ -107,9 +107,6 @@ def validate_basis(basis, mdp=None):
         problems.append(
             f"columns {np.where(over)[0].tolist()} exceed sup-norm 1"
         )
-    signed = np.where(psi.min(axis=0) < 0)[0]
-    if signed.size:
-        problems.append(f"warning: columns {signed.tolist()} carry negative entries")
     return problems
 
 
@@ -174,16 +171,19 @@ def l1_feature_gap(fe_a, fe_b):
     return float(np.abs(_vector_of(fe_a) - _vector_of(fe_b)).sum())
 
 
-def brute_force_sup_gap(fe_a, fe_b, max_costs=20):
+_MAX_BRUTE_FORCE_COSTS = 20
+
+
+def brute_force_sup_gap(fe_a, fe_b):
     """Worst-case cost gap by enumerating all sup-norm-ball sign vertices.
 
     The supremum over {sum_i w_i psi_i : ||w||_inf <= 1} of the expected
     cost difference is attained at a vertex w in {-1, +1}^n_c, so checking
-    all 2^n_c of them is exact.  Guarded to n_c <= 20.
+    all 2^n_c of them is exact.  Raises ValueError for n_c > 20.
     """
     gap = _vector_of(fe_a) - _vector_of(fe_b)
     n = gap.size
-    if n > max_costs:
+    if n > _MAX_BRUTE_FORCE_COSTS:
         raise ValueError(f"refusing brute force over 2^{n} sign vectors")
     best = -np.inf
     total = 1 << n

@@ -40,11 +40,9 @@ __all__ = [
     "chain_cost",
     "mdp_to_json",
     "mdp_from_json",
-    "save_mdp",
     "load_mdp",
     "policy_to_json",
     "policy_from_json",
-    "save_policy",
     "load_policy",
 ]
 
@@ -91,8 +89,14 @@ class OccupancyMeasure:
         return float(self.mass.sum())
 
 
-def validate_mdp(mdp, atol=1e-9):
-    """Return a list of human-readable violations (empty list = valid)."""
+_SUM_ATOL = 1e-9
+
+
+def validate_mdp(mdp):
+    """Return a list of human-readable violations (empty list = valid).
+
+    Transition rows and the initial distribution must sum to 1 within 1e-9.
+    """
     problems = []
     n, k = mdp.n_states, mdp.n_actions
     if n < 1 or k < 1:
@@ -109,7 +113,7 @@ def validate_mdp(mdp, atol=1e-9):
         rows = np.unique(np.where(mdp.transition < 0)[0])[:5]
         problems.append(f"negative transition entries in rows {rows.tolist()}")
     row_sums = mdp.transition.sum(axis=1)
-    bad = np.where(np.abs(row_sums - 1.0) > atol)[0]
+    bad = np.where(np.abs(row_sums - 1.0) > _SUM_ATOL)[0]
     if bad.size:
         problems.append(
             f"{bad.size} transition rows do not sum to 1 (first: row "
@@ -120,7 +124,7 @@ def validate_mdp(mdp, atol=1e-9):
     else:
         if np.any(mdp.initial_dist < 0):
             problems.append("initial_dist has negative entries")
-        if abs(mdp.initial_dist.sum() - 1.0) > atol:
+        if abs(mdp.initial_dist.sum() - 1.0) > _SUM_ATOL:
             problems.append(f"initial_dist sums to {float(mdp.initial_dist.sum())!r}")
     return problems
 
@@ -216,7 +220,10 @@ def expected_return(mu, cost):
     return float(vec @ np.asarray(cost))
 
 
-def value_iteration(mdp, cost, tolerance=1e-10, max_sweeps=1_000_000):
+_MAX_SWEEPS = 1_000_000
+
+
+def value_iteration(mdp, cost, tolerance=1e-10):
     """Minimize expected discounted cost by value iteration.
 
     Sweeps until the sup-norm Bellman residual drops to `tolerance`; the
@@ -224,7 +231,8 @@ def value_iteration(mdp, cost, tolerance=1e-10, max_sweeps=1_000_000):
     tolerance * (1 + g) / (1 - g) of optimal.  Returns (Policy, values).
     `tolerance` must be positive and finite: a residual may never reach
     zero, no residual compares below NaN, and an infinite tolerance stops
-    after one sweep without a bound.
+    after one sweep without a bound.  After a million sweeps it warns and
+    returns the greedy policy of the last iterate.
     """
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValueError(
@@ -232,7 +240,7 @@ def value_iteration(mdp, cost, tolerance=1e-10, max_sweeps=1_000_000):
         )
     cost = np.asarray(cost, dtype=float)
     v = np.zeros(mdp.n_states)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         q = (cost + mdp.discount * (mdp.transition @ v)).reshape(
             mdp.n_states, mdp.n_actions
         )
@@ -243,7 +251,7 @@ def value_iteration(mdp, cost, tolerance=1e-10, max_sweeps=1_000_000):
             break
     else:
         warnings.warn(
-            f"value iteration stopped at max_sweeps={max_sweeps} with "
+            f"value iteration stopped after {_MAX_SWEEPS} sweeps with "
             f"residual {residual!r}"
         )
     q = (cost + mdp.discount * (mdp.transition @ v)).reshape(
@@ -271,17 +279,15 @@ def make_random_mdp(n_states, n_actions, discount, seed):
 _GRID_MOVES = ((-1, 0), (0, 1), (1, 0), (0, -1))  # N, E, S, W
 
 
-def make_gridworld(width, height, discount, slip_prob, seed=0):
+def make_gridworld(width, height, discount, slip_prob):
     """Gridworld on width x height cells with actions N, E, S, W.
 
     Moving into a wall keeps the agent in place.  With probability
     slip_prob the chosen action is replaced by a uniformly random one.
     The start distribution is a point mass on the top-left cell.  Returns
     (mdp, cost): unit cost everywhere except the bottom-right goal cell.
-    `seed` is accepted for interface symmetry with make_random_mdp but the
-    construction is deterministic.
+    The construction is deterministic.
     """
-    del seed
     if width < 1 or height < 1 or width * height < 2:
         raise ValueError(f"invalid gridworld dimensions {width}x{height}")
     if not (0.0 <= slip_prob < 1.0):
@@ -368,12 +374,8 @@ def mdp_from_json(blob):
     return Mdp(n, k, transition, float(blob["discount"]), initial)
 
 
-def save_mdp(path, mdp):
-    with open(path, "w") as fh:
-        json.dump(mdp_to_json(mdp), fh)
-
-
 def load_mdp(path):
+    """MDP in a JSON file such as a run's mdp.json; other keys are ignored."""
     with open(path) as fh:
         return mdp_from_json(json.load(fh))
 
@@ -386,11 +388,7 @@ def policy_from_json(blob):
     return Policy(np.array(blob["probs"], dtype=float))
 
 
-def save_policy(path, policy):
-    with open(path, "w") as fh:
-        json.dump(policy_to_json(policy), fh)
-
-
 def load_policy(path):
+    """Policy in a JSON file such as a run's policy.json; other keys are ignored."""
     with open(path) as fh:
         return policy_from_json(json.load(fh))

@@ -99,6 +99,21 @@ def stage_seed(master_seed, stage):
     return _splitmix64((int(master_seed) ^ tag) & _MASK64)
 
 
+# Section fields that must hold an integer when present ("horizon" may be null).
+_INTEGER_FIELDS = (
+    ("environment", ("width", "height", "n_states", "n_actions")),
+    ("basis", ("n_blocks",)),
+    ("features", ("d",)),
+    ("expert", ("m", "horizon")),
+    ("sgd", ("iterations", "batch_size")),
+)
+
+
+def _is_integer(value):
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one full run.
@@ -114,6 +129,10 @@ class ExperimentConfig:
     sgd:         {"rho", "lam", "eta", "iterations", "batch_size"?}
                  | {"epsilon", "delta", "rho"} (hyperparameters are then
                  derived from the accuracy pair)
+
+    The count fields above and master_seed must be Python or numpy integers
+    (not bools), and a file spec's path a string; anything else raises
+    ValueError.
     """
 
     environment: dict
@@ -154,17 +173,36 @@ class ExperimentConfig:
             expert=dict(blob["expert"]),
             sgd=dict(blob["sgd"]),
             out_dir=str(blob["out_dir"]),
-            master_seed=int(blob["master_seed"]),
+            master_seed=blob["master_seed"],
             scheme=str(blob.get("scheme", "norm")),
         )
 
     def __post_init__(self):
         if self.scheme not in ("norm", "uniform"):
             raise ValueError(f"unknown sampling scheme {self.scheme!r}")
+        if not _is_integer(self.master_seed):
+            raise ValueError(
+                f"config field 'master_seed' must be an integer, got {self.master_seed!r}"
+            )
+        object.__setattr__(self, "master_seed", int(self.master_seed))
+        for name, keys in _INTEGER_FIELDS:
+            spec = getattr(self, name)
+            for key in keys:
+                value = spec.get(key)
+                if key == "horizon" and value is None:
+                    continue
+                if key in spec and not _is_integer(value):
+                    raise ValueError(
+                        f"{name} field {key!r} must be an integer, got {value!r}"
+                    )
         for name in ("basis", "features"):
             spec = getattr(self, name)
-            if spec.get("kind") == "file" and not os.path.exists(spec.get("path", "")):
-                raise ValueError(f"{name} file not found: {spec.get('path')}")
+            if spec.get("kind") == "file":
+                path = spec.get("path", "")
+                if not isinstance(path, str):
+                    raise ValueError(f"{name} field 'path' must be a string, got {path!r}")
+                if not os.path.exists(path):
+                    raise ValueError(f"{name} file not found: {path}")
 
 
 def _require(spec, what, *keys):
@@ -182,7 +220,6 @@ def _build_environment(spec, seed):
             int(spec["height"]),
             float(spec["discount"]),
             float(spec.get("slip_prob", 0.1)),
-            seed=seed,
         )
     elif kind == "random":
         _require(spec, "environment", "n_states", "n_actions", "discount")
@@ -221,7 +258,7 @@ def _build_basis(spec, mdp):
             raise ValueError(f"{path}: unreadable basis file ({exc})") from exc
     else:
         raise ValueError(f"unknown basis kind {kind!r}")
-    problems = [p for p in validate_basis(basis, mdp) if not p.startswith("warning:")]
+    problems = validate_basis(basis, mdp)
     if problems:
         raise ValueError(f"basis invalid: {problems}")
     return basis

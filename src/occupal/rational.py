@@ -52,25 +52,32 @@ class RationalPolicy:
     denom: int
 
 
-def random_rational_mdp(rng, n_states, n_actions, gamma=Fraction(1, 2), denom=64):
-    """Random MDP whose rows are exact multinomial(denom)/denom weights."""
+# Discount 1/2, which properties.series_tail_gap's bound assumes, and
+# power-of-two denominators, which keep the float64 twins exact.
+_GAMMA = Fraction(1, 2)
+_TRANS_DENOM = 64
+_POLICY_DENOM = 16
+
+
+def random_rational_mdp(rng, n_states, n_actions):
+    """Random MDP with discount 1/2 whose transition rows are exact
+    multinomial(64)/64 weights and whose start weights are over 16."""
     rows = []
     uniform = np.full(n_states, 1.0 / n_states)
     for _ in range(n_states * n_actions):
-        rows.append(tuple(int(w) for w in rng.multinomial(denom, uniform)))
-    init = tuple(int(w) for w in rng.multinomial(16, np.full(n_states, 1.0 / n_states)))
-    return RationalMdp(
-        n_states, n_actions, tuple(rows), denom, Fraction(gamma), init, 16
-    )
+        rows.append(tuple(int(w) for w in rng.multinomial(_TRANS_DENOM, uniform)))
+    init = tuple(int(w) for w in rng.multinomial(16, uniform))
+    return RationalMdp(n_states, n_actions, tuple(rows), _TRANS_DENOM, _GAMMA, init, 16)
 
 
-def random_rational_policy(rng, rmdp, denom=16):
+def random_rational_policy(rng, rmdp):
+    """Random policy whose rows are exact multinomial(16)/16 weights."""
     uniform = np.full(rmdp.n_actions, 1.0 / rmdp.n_actions)
     rows = tuple(
-        tuple(int(w) for w in rng.multinomial(denom, uniform))
+        tuple(int(w) for w in rng.multinomial(_POLICY_DENOM, uniform))
         for _ in range(rmdp.n_states)
     )
-    return RationalPolicy(rows, denom)
+    return RationalPolicy(rows, _POLICY_DENOM)
 
 
 def _chain_weights(rmdp, policy):

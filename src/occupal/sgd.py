@@ -110,10 +110,8 @@ class TrainingTrace:
 class Schedule:
     """Hyperparameters certifying the (epsilon, delta) regret guarantee.
 
-    delta_bound is the gradient-range constant from the headline statement;
-    delta_proof_bound is the analogous constant reconstructed from the
-    appendix derivation, which differs (both are reported, the statement
-    form is what sizes `iterations`).
+    delta_bound is the gradient-range constant from the headline statement,
+    which sizes `iterations`.
     """
 
     lam: float
@@ -121,7 +119,6 @@ class Schedule:
     iterations: int
     eta: float
     delta_bound: float
-    delta_proof_bound: float
     epsilon: float
     delta: float
     rho: float
@@ -420,7 +417,7 @@ def run_sgd_al(config, phi, basis, mdp, target, constants):
     return trace, policy_from_vector(phi_arr @ theta_avg, mdp)
 
 
-def certified_schedule(epsilon, delta, rho, d, n_costs, gamma, k, psi_inf_norm=1.0):
+def certified_schedule(epsilon, delta, rho, d, n_costs, gamma, k):
     """Hyperparameters meeting the regret guarantee at accuracy (epsilon, delta).
 
     lam = 1/epsilon; the sample size is the Hoeffding requirement; the
@@ -428,7 +425,8 @@ def certified_schedule(epsilon, delta, rho, d, n_costs, gamma, k, psi_inf_norm=1
     (the bound depends on T through a log, so it is resolved by monotone
     fixed-point iteration from T = 1); eta = rho / (k sqrt(T)).  Nominal
     values are astronomically conservative at tight accuracies; they are
-    meant for the guarantee, not as practical defaults.
+    meant for the guarantee, not as practical defaults.  The bound takes
+    ||psi||_inf = 1, the largest entry validate_basis admits.
     """
     if not (0.0 < epsilon < 1.0) or not (0.0 < delta < 1.0):
         raise ValueError(f"accuracy pair ({epsilon}, {delta}) outside (0, 1)^2")
@@ -437,7 +435,7 @@ def certified_schedule(epsilon, delta, rho, d, n_costs, gamma, k, psi_inf_norm=1
     lam = 1.0 / epsilon
     m = hoeffding_sample_size(n_costs, gamma, epsilon, delta)
     factor = (4.0 * rho**2 / epsilon**2) * (
-        2.0 * psi_inf_norm / (lam * (1.0 - gamma)) + 1.0
+        2.0 / (lam * (1.0 - gamma)) + 1.0
     ) ** 2
     noise = math.sqrt(10.0 * math.log(2.0 / delta))
 
@@ -455,22 +453,13 @@ def certified_schedule(epsilon, delta, rho, d, n_costs, gamma, k, psi_inf_norm=1
     else:
         raise RuntimeError("iteration fixed point did not settle in 500 rounds")
 
-    delta_bound = delta_at(t_iter)
-    # appendix-style constant: solve the derived high-probability term for
-    # an equivalent K-plus-noise scale at this T
-    proof_tail = math.sqrt(
-        (1.0 + 4.0 * rho**2 * t_iter)
-        * (2.0 * math.log(2.0 / delta) + d * math.log(1.0 + rho**2 * t_iter / d))
-        / (rho**2 * t_iter)
-    )
     eta = rho / (k * math.sqrt(t_iter))
     return Schedule(
         lam=lam,
         sample_size=m,
         iterations=t_iter,
         eta=eta,
-        delta_bound=delta_bound,
-        delta_proof_bound=k + proof_tail,
+        delta_bound=delta_at(t_iter),
         epsilon=float(epsilon),
         delta=float(delta),
         rho=float(rho),

@@ -154,7 +154,7 @@ def test_criterion_06_subgradient_validity():
 
 def test_criterion_07_scaled_training_experiment():
     start = time.perf_counter()
-    mdp, cost = make_gridworld(4, 4, 0.9, 0.1, seed=2470)
+    mdp, cost = make_gridworld(4, 4, 0.9, 0.1)
     basis = region_indicator_basis(mdp, 4)
     phi = build_feature_matrix(mdp, 6, seed=2471, beta=1e-3)
     expert, _ = value_iteration(mdp, cost, tolerance=1e-10)

@@ -6,6 +6,7 @@ a README that still calls a removed name.
 """
 
 import importlib
+import os
 import pathlib
 import pkgutil
 import re
@@ -14,6 +15,10 @@ import numpy as np
 import pytest
 
 import occupal
+from occupal.cli import main
+from occupal.pipeline import ARTIFACT_NAMES
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 MODULES = ["occupal"] + [
     f"occupal.{info.name}" for info in pkgutil.iter_modules(occupal.__path__)
@@ -32,9 +37,22 @@ def test_every_exported_name_resolves(name):
 
 def test_readme_quick_start_runs():
     """The README's library quick start runs against the current API."""
-    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.DOTALL)
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
     assert len(blocks) == 1
     namespace = {}
     exec(compile(blocks[0], "README.md", "exec"), namespace)
     assert np.isfinite(namespace["trace"].loss_total).all()
+
+
+def test_readme_cli_quick_start_runs(tmp_path):
+    """The README's config runs and writes the artifacts the README lists."""
+    readme = README.read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    config_path = tmp_path / "config.json"
+    config_path.write_text(blocks[0])
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == sorted(ARTIFACT_NAMES)
+    sentence = re.search(r"writes nine artifacts \((.*?)\)", readme, flags=re.DOTALL)
+    assert sorted(re.findall(r"`([^`]+)`", sentence.group(1))) == sorted(ARTIFACT_NAMES)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from occupal import (
+    ExperimentConfig,
     Mdp,
     Policy,
     chain_cost,
@@ -31,14 +32,13 @@ from occupal import (
     occupancy_of_policy,
     sa_index,
     sample_trajectories,
-    save_mdp,
-    save_policy,
     state_transition_matrix,
     truncated_series_occupancy,
     uniform_policy,
     validate_mdp,
     value_iteration,
 )
+from occupal.pipeline import STAGES, run_stages
 
 CHAIN = make_chain(0.5)
 STAY = deterministic_policy(CHAIN, [0, 0])
@@ -276,7 +276,7 @@ def test_value_iteration_bellman_residual():
 
 @pytest.mark.parametrize("tolerance", [-1.0, 0.0, float("nan"), float("inf")])
 def test_value_iteration_rejects_a_tolerance_it_cannot_use(tolerance):
-    # -1 and nan would sweep max_sweeps times; inf would stop unconverged
+    # -1 and nan would sweep a million times; inf would stop unconverged
     with pytest.raises(ValueError, match="positive finite tolerance"):
         value_iteration(CHAIN, chain_cost(), tolerance=tolerance)
 
@@ -286,7 +286,7 @@ def test_value_iteration_rejects_a_tolerance_it_cannot_use(tolerance):
 
 
 def test_gridworld_two_cells():
-    mdp, cost = make_gridworld(2, 1, 0.9, 0.0, 0)
+    mdp, cost = make_gridworld(2, 1, 0.9, 0.0)
     assert mdp.n_states == 2 and mdp.n_actions == 4
     assert np.all(mdp.transition.max(axis=1) == 1.0)  # one-hot rows
     assert validate_mdp(mdp) == []
@@ -296,7 +296,7 @@ def test_gridworld_two_cells():
 
 def test_gridworld_slip_mass():
     """With slip 0.2 the intended successor keeps 0.8 + 0.2/4 when distinct."""
-    mdp, _ = make_gridworld(3, 3, 0.9, 0.2, 0)
+    mdp, _ = make_gridworld(3, 3, 0.9, 0.2)
     # from the center cell (state 4) all four moves reach distinct cells
     for action, landing in enumerate((1, 5, 7, 3)):
         row = mdp.transition[sa_index(4, action, 4)]
@@ -305,7 +305,7 @@ def test_gridworld_slip_mass():
 
 
 def test_gridworld_start_and_goal():
-    mdp, cost = make_gridworld(4, 4, 0.9, 0.1, 0)
+    mdp, cost = make_gridworld(4, 4, 0.9, 0.1)
     assert mdp.initial_dist[0] == 1.0
     assert cost[15 * 4 :].tolist() == [0.0] * 4
     assert cost[: 15 * 4].min() == 1.0
@@ -313,9 +313,9 @@ def test_gridworld_start_and_goal():
 
 def test_gridworld_rejects_bad_dimensions():
     with pytest.raises(ValueError):
-        make_gridworld(1, 1, 0.9, 0.0, 0)
+        make_gridworld(1, 1, 0.9, 0.0)
     with pytest.raises(ValueError):
-        make_gridworld(2, 2, 0.9, 1.0, 0)
+        make_gridworld(2, 2, 0.9, 1.0)
 
 
 def test_random_mdp_single_state():
@@ -337,24 +337,25 @@ def test_random_mdp_deterministic_and_valid():
 # serialization
 
 
-def test_mdp_json_round_trip_is_bit_exact(tmp_path):
-    mdp = make_random_mdp(7, 3, 0.875, seed=21)
-    path = tmp_path / "mdp.json"
-    save_mdp(path, mdp)
-    loaded = load_mdp(path)
-    assert np.array_equal(loaded.transition, mdp.transition)
-    assert np.array_equal(loaded.initial_dist, mdp.initial_dist)
-    assert loaded.discount == mdp.discount
-    # writing the loaded copy reproduces the file byte for byte
-    twin = tmp_path / "twin.json"
-    save_mdp(twin, loaded)
-    assert path.read_bytes() == twin.read_bytes()
-
-
-def test_policy_json_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    probs = rng.exponential(1.0, (4, 3))
-    policy = Policy(probs / probs.sum(axis=1, keepdims=True))
-    path = tmp_path / "policy.json"
-    save_policy(path, policy)
-    assert np.array_equal(load_policy(path).probs, policy.probs)
+def test_run_artifacts_load_back_bit_for_bit(tmp_path):
+    """load_mdp and load_policy read a run's files into the run's objects."""
+    config = ExperimentConfig.from_json({
+        "environment": {"kind": "random", "n_states": 7, "n_actions": 3,
+                        "discount": 0.875},
+        "basis": {"kind": "state-action-indicator"},
+        "features": {"d": 3},
+        "expert": {"m": 20},
+        "sgd": {"rho": 2.0, "lam": 5.0, "eta": 0.01, "iterations": 100},
+        "out_dir": str(tmp_path),
+        "master_seed": 21,
+    })
+    names = ("mdp.json", "expert_policy.json", "policy.json")
+    state = run_stages(config, [name for name, _, _ in STAGES], names)
+    mdp = load_mdp(tmp_path / "mdp.json")
+    assert (mdp.n_states, mdp.n_actions) == (7, 3)
+    assert np.array_equal(mdp.transition, state["mdp"].transition)
+    assert np.array_equal(mdp.initial_dist, state["mdp"].initial_dist)
+    assert mdp.discount == state["mdp"].discount
+    for name, key in (("expert_policy.json", "expert_policy"),
+                      ("policy.json", "trained_policy")):
+        assert np.array_equal(load_policy(tmp_path / name).probs, state[key].probs)

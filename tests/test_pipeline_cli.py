@@ -461,6 +461,40 @@ def test_cli_rejects_a_config_of_the_wrong_shape(tmp_path, capsys, field):
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", ["basis", "features"])
+@pytest.mark.parametrize("path", [0, [1]], ids=["fd-0", "list"])
+def test_cli_rejects_a_file_path_that_is_not_a_string(tmp_path, capsys, section, path):
+    """An integer path would be opened as a file descriptor (0 reads stdin)."""
+    blob = chain_config(tmp_path / "run", **{section: {"kind": "file", "path": path}})
+    with pytest.raises(ValueError, match=f"{section} field 'path' must be a string"):
+        ExperimentConfig.from_json(blob)
+    assert main(["run", "--config", write_config(tmp_path, blob)]) == 1
+    assert f"{section} field 'path'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key", [
+    ("environment", "width"),
+    ("features", "d"),
+    ("expert", "m"),
+    ("expert", "horizon"),
+    ("sgd", "iterations"),
+    (None, "master_seed"),
+])
+@pytest.mark.parametrize("value", [7.9, "7", True])
+def test_cli_rejects_a_count_that_is_not_an_integer(tmp_path, capsys, section, key, value):
+    """int() would truncate 7.9, parse "7" and read true as 1 without a word."""
+    blob = chain_config(tmp_path / "run")
+    blob["environment"] = {"kind": "gridworld", "width": 2, "height": 2, "discount": 0.9}
+    if section is None:
+        blob[key] = value
+    else:
+        blob[section] = {**blob[section], key: value}
+    with pytest.raises(ValueError, match=f"field '{key}' must be an integer"):
+        ExperimentConfig.from_json(blob)
+    assert main(["run", "--config", write_config(tmp_path, blob)]) == 1
+    assert f"field '{key}' must be an integer" in capsys.readouterr().err
+
+
 def test_cli_rejects_a_value_iteration_tolerance_it_cannot_meet(tmp_path, capsys):
     blob = chain_config(tmp_path / "run", expert={"m": 50, "vi_tolerance": -1})
     assert main(["expert", "--config", write_config(tmp_path, blob)]) == 1

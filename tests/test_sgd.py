@@ -708,12 +708,7 @@ def test_schedule_component_identities():
     factor = (4.0 / 0.25) * (2.0 / (2.0 * 0.5) + 1.0) ** 2
     # the iteration count is a fixed point of its own lower bound
     assert t == max(1, math.ceil(factor * delta_at**2))
-
-    proof_tail = math.sqrt(
-        (1.0 + 4.0 * t) * (2.0 * math.log(4.0) + math.log(1.0 + t)) / t
-    )
-    assert sched.delta_proof_bound == pytest.approx(3.0 + proof_tail, rel=1e-12)
-    assert sched.delta_proof_bound > 3.0 and sched.delta_bound > 3.0
+    assert sched.delta_bound > 3.0
 
 
 def test_schedule_iterations_quadruple_with_radius():
