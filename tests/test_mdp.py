@@ -12,6 +12,8 @@ All three were cross-checked against the truncated power series at
 horizon 60 before being frozen here.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,7 @@ from occupal import (
     validate_mdp,
     value_iteration,
 )
+from occupal.mdp import mdp_to_json
 from occupal.pipeline import STAGES, run_stages
 
 CHAIN = make_chain(0.5)
@@ -337,8 +340,10 @@ def test_random_mdp_deterministic_and_valid():
 # serialization
 
 
-def test_run_artifacts_load_back_bit_for_bit(tmp_path):
-    """load_mdp and load_policy read a run's files into the run's objects."""
+@pytest.fixture(scope="module")
+def run_artifacts(tmp_path_factory):
+    """One pipeline run's directory and in-memory state."""
+    out_dir = tmp_path_factory.mktemp("run")
     config = ExperimentConfig.from_json({
         "environment": {"kind": "random", "n_states": 7, "n_actions": 3,
                         "discount": 0.875},
@@ -346,16 +351,35 @@ def test_run_artifacts_load_back_bit_for_bit(tmp_path):
         "features": {"d": 3},
         "expert": {"m": 20},
         "sgd": {"rho": 2.0, "lam": 5.0, "eta": 0.01, "iterations": 100},
-        "out_dir": str(tmp_path),
+        "out_dir": str(out_dir),
         "master_seed": 21,
     })
     names = ("mdp.json", "expert_policy.json", "policy.json")
     state = run_stages(config, [name for name, _, _ in STAGES], names)
-    mdp = load_mdp(tmp_path / "mdp.json")
+    return out_dir, state
+
+
+def test_mdp_json_round_trip_is_bit_exact(run_artifacts):
+    """load_mdp reads a run's mdp.json into the run's MDP, bit for bit."""
+    out_dir, state = run_artifacts
+    path = out_dir / "mdp.json"
+    mdp = load_mdp(path)
     assert (mdp.n_states, mdp.n_actions) == (7, 3)
     assert np.array_equal(mdp.transition, state["mdp"].transition)
     assert np.array_equal(mdp.initial_dist, state["mdp"].initial_dist)
     assert mdp.discount == state["mdp"].discount
+    # serializing the loaded copy, with the run's seeds, reproduces the
+    # file byte for byte
+    blob = mdp_to_json(mdp)
+    blob.update(master_seed=21, stage_seed=state["seeds"]["environment"])
+    text = json.dumps(blob, sort_keys=True, indent=1) + "\n"
+    assert path.read_text() == text
+
+
+def test_policy_json_round_trip(run_artifacts):
+    """load_policy reads a run's policy files into the run's policies."""
+    out_dir, state = run_artifacts
     for name, key in (("expert_policy.json", "expert_policy"),
                       ("policy.json", "trained_policy")):
-        assert np.array_equal(load_policy(tmp_path / name).probs, state[key].probs)
+        loaded = load_policy(out_dir / name)
+        assert np.array_equal(loaded.probs, state[key].probs)
