@@ -100,151 +100,20 @@ def _draw(table, rows, draws):
     return columns.ravel().take(slots * columns.shape[1] + rows)
 
 
-# numpy's SeedSequence (pool of four 32-bit words) and PCG64 constants.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-# Draws per block of _pcg64_doubles, rows times streams: 128 KB per array.
-# For 5,000 streams of 439 draws, 2^13 and 2^15 were 20-30% slower.
-_BLOCK_DRAWS = 1 << 14
-
-
-def _spawned_uniforms(seed, m, n):
-    """Draws 0..n-1 of every child stream of SeedSequence(seed).spawn(m).
-
-    Returns an (n, m) float64 array whose column k equals
-    default_rng(SeedSequence(seed).spawn(m)[k]).random(n) bit for bit.  A
-    child's entropy is the run entropy padded to four words, then its
-    spawn key k.  With at most four words of run entropy the pool mixes
-    to the parent's pool first, so only the mixing of k and the child's
-    generate_state vary with k; they and the PCG64 streams run on arrays
-    over all m children.  Other seeds (sequences, None, integers >= 2^128)
-    and m >= 2^32 build the m generators one by one.
-    """
-    root = np.random.SeedSequence(seed)
-    if not (isinstance(seed, (int, np.integer)) and int(seed) < 1 << 128 and m < 1 << 32):
-        out = np.empty((n, m))
-        for k, child in enumerate(root.spawn(m)):
-            out[:, k] = np.random.default_rng(child).random(n)
-        return out
-
-    u32 = np.uint32
-    keys = np.arange(m, dtype=u32)
-    # hashmix(k) into each pool word, after the 16 hashmix calls of the
-    # parent's pool: mix(pool[j], hashmix(k)) with the hash constant below.
-    pool = []
-    for j, word in enumerate(root.pool.tolist()):
-        const = _INIT_A * pow(_MULT_A, 16 + j, 1 << 32) & _MASK32
-        hashed = (keys ^ u32(const)) * u32(const * _MULT_A & _MASK32)
-        hashed ^= hashed >> u32(16)
-        mixed = u32(_MIX_L * word & _MASK32) - u32(_MIX_R) * hashed
-        mixed ^= mixed >> u32(16)
-        pool.append(mixed)
-    # generate_state(4, uint64): eight words, pool cycled, little-endian pairs.
-    words = []
-    for i in range(8):
-        const = _INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32
-        word = (pool[i % 4] ^ u32(const)) * u32(const * _MULT_B & _MASK32)
-        word ^= word >> u32(16)
-        words.append(word.astype(np.uint64))
-    shift = np.uint64(32)
-    init_hi, init_lo, seq_hi, seq_lo = (
-        words[2 * i] | words[2 * i + 1] << shift for i in range(4)
-    )
-    return _pcg64_doubles(init_hi, init_lo, seq_hi, seq_lo, n)
-
-
-def _pcg64_doubles(init_hi, init_lo, seq_hi, seq_lo, n):
-    """PCG64 (XSL-RR) random() draws of streams seeded with (initstate, initseq).
-
-    Each argument holds the high or low 64 bits of one 128-bit word per
-    stream.  As numpy does, the increment is 2 initseq + 1, the state
-    step(step(0) + initstate), and each draw steps the state and outputs
-    it.  Step j of a state s is M^j s + (M^(j-1) + ... + 1) inc, so a block
-    of draws comes from the state before it in one array pass.
-    """
-    u64 = np.uint64
-    m = init_hi.size
-    # Made before the temporaries: made after them, it raised the peak
-    # resident set of a benchmark run by 0.5-1.0 MB.
-    out = np.empty((n, m))
-    inc = (seq_hi << u64(1) | seq_lo >> u64(63), seq_lo << u64(1) | u64(1))
-    lo = inc[1] + init_lo
-    state = _mul_add((inc[0] + init_hi + (lo < init_lo), lo), _u128(_PCG_MULT), inc)
-
-    rows = max(1, min(n, _BLOCK_DRAWS // m))
-    powers, sums = [1], [0]
-    for _ in range(rows):
-        powers.append(powers[-1] * _PCG_MULT & _MASK128)
-        sums.append((sums[-1] * _PCG_MULT + 1) & _MASK128)
-    shifts = _mul_add(inc, _u128(sums[1:]), (u64(0), u64(0)))
-    block = _mul_add(state, _u128(powers[1:]), shifts)
-    jump, jump_shift = _u128(powers[-1]), (shifts[0][-1], shifts[1][-1])
-
-    c11, c58, c63 = u64(11), u64(58), u64(63)
-    for start in range(0, n, rows):
-        if start:
-            block = _mul_add(block, jump, jump_shift)
-        hi, lo = block[0][: n - start], block[1][: n - start]
-        rot = hi >> c58
-        x = hi ^ lo
-        x = x >> rot | x << (-rot & c63)
-        np.multiply(x >> c11, 2.0**-53, out=out[start : start + rows])
-    return out
-
-
-def _u128(value):
-    """The (high, low) uint64 halves of a Python int, or of a list of them
-    as columns."""
-    if isinstance(value, int):
-        return np.uint64(value >> 64), np.uint64(value & _MASK64)
-    hi = np.array([v >> 64 for v in value], dtype=np.uint64)
-    lo = np.array([v & _MASK64 for v in value], dtype=np.uint64)
-    return hi[:, None], lo[:, None]
-
-
-def _mul_add(x, mult, add):
-    """x * mult + add mod 2^128, each a (high, low) pair of uint64 halves.
-
-    The high half of x's low half times mult's low half is summed from
-    32-bit partial products.
-    """
-    (hi, lo), (mult_hi, mult_lo), (add_hi, add_lo) = x, mult, add
-    c32, mask32 = np.uint64(32), np.uint64(_MASK32)
-    part_hi, part_lo = mult_lo >> c32, mult_lo & mask32
-    a_hi, a_lo = lo >> c32, lo & mask32
-    low = a_lo * part_lo
-    mid = a_hi * part_lo
-    mid += low >> c32
-    cross = a_lo * part_hi
-    cross += mid & mask32
-    new_hi = a_hi * part_hi
-    new_hi += mid >> c32
-    new_hi += cross >> c32
-    new_hi += hi * mult_lo
-    new_hi += lo * mult_hi
-    new_hi += add_hi
-    new_lo = lo * mult_lo
-    new_lo += add_lo
-    new_hi += new_lo < add_lo
-    return new_hi, new_lo
-
-
 def sample_trajectories(mdp, policy, m, horizon, seed):
     """Roll out m independent trajectories of fixed length `horizon`.
 
     Returns an int array of shape (m, horizon, 2) holding (state, action).
-    Each rollout consumes its own RNG stream spawned from (seed, rollout
-    index), so the batch can be generated in parallel chunks without
-    changing the result; the stepping itself is vectorized across rollouts.
-    The m streams are computed together on arrays (_spawned_uniforms).
-    A step draws the first action (next state) whose cumulative probability
-    exceeds a uniform draw, searching only the support table of each
-    policy (transition) row: the columns where the row's cumulative weight
-    rises, one per greedy policy row and at most four per gridworld
-    transition row.
+    Rollout k reads row k of one stream, default_rng(seed).random((m, 2H +
+    1)): its start state from draw 0, step t's action and next state from
+    draws 1 + 2t and 2 + 2t.  The first k rows do not depend on m, and a
+    PCG64 generator advanced by k (2H + 1) draws yields rows k onwards, so
+    the batch can be generated in parallel chunks without changing the
+    result.  All rollouts step together.  A step draws the first action
+    (next state) whose cumulative probability exceeds its uniform draw,
+    searching only the support table of each policy (transition) row: the
+    columns where the row's cumulative weight rises, one per greedy policy
+    row and at most four per gridworld transition row.
     """
     if m < 1 or horizon < 1:
         raise ValueError(f"need m >= 1 and horizon >= 1, got ({m}, {horizon})")
@@ -255,7 +124,8 @@ def sample_trajectories(mdp, policy, m, horizon, seed):
         )
     if not np.all(np.isfinite(probs)) or np.any(probs < 0):
         raise ValueError("policy probabilities must be finite and nonnegative")
-    uniforms = _spawned_uniforms(seed, m, 2 * horizon + 1)
+    # uniforms[j], a view with no copy, is draw j of every rollout.
+    uniforms = np.random.default_rng(seed).random((m, 2 * horizon + 1)).T
 
     cum_init = np.cumsum(mdp.initial_dist)
     cum_init[-1] = 1.0
@@ -305,9 +175,11 @@ def empirical_feature_expectation(trajectories, basis, discount, n_actions):
     flat = batch[:, :, 0] * n_actions + batch[:, :, 1]
     if batch.size and flat.max() >= n_rows:
         raise ValueError(f"trajectory pair index {flat.max()} >= {n_rows} basis rows")
-    weights = discount ** np.arange(horizon)
-    # take gathers the same rows as psi[flat], about twice as fast.
-    values = np.einsum("mhc,h->c", basis.psi.take(flat, axis=0), weights) / m
+    # Each pair's discounted visits, then one product with psi: the
+    # temporaries grow with m * H, not m * H * n_costs.
+    weights = np.broadcast_to(discount ** np.arange(horizon), flat.shape)
+    counts = np.bincount(flat.ravel(), weights.ravel(), minlength=n_rows)
+    values = basis.psi.T @ counts / m
     tail = discount**horizon / (1.0 - discount)
     return EmpiricalFeatureExpectation(values, int(m), int(horizon), float(tail))
 

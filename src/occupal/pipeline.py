@@ -99,19 +99,25 @@ def stage_seed(master_seed, stage):
     return _splitmix64((int(master_seed) ^ tag) & _MASK64)
 
 
-# Section fields that must hold an integer when present ("horizon" may be null).
-_INTEGER_FIELDS = (
-    ("environment", ("width", "height", "n_states", "n_actions")),
-    ("basis", ("n_blocks",)),
-    ("features", ("d",)),
-    ("expert", ("m", "horizon")),
-    ("sgd", ("iterations", "batch_size")),
+# Section fields that must hold a number when present ("horizon" may be null):
+# a count an integer, any other field an integer or a float; a bool is neither.
+_INTEGER, _REAL = (int, np.integer), (int, np.integer, float, np.floating)
+_NUMBER_FIELDS = (
+    ("environment", _INTEGER, ("width", "height", "n_states", "n_actions")),
+    ("environment", _REAL, ("discount", "slip_prob")),
+    ("basis", _INTEGER, ("n_blocks",)),
+    ("features", _INTEGER, ("d",)),
+    ("features", _REAL, ("beta",)),
+    ("expert", _INTEGER, ("m", "horizon")),
+    ("expert", _REAL, ("vi_tolerance",)),
+    ("sgd", _INTEGER, ("iterations", "batch_size")),
+    ("sgd", _REAL, ("rho", "lam", "eta", "epsilon", "delta")),
 )
 
 
-def _is_integer(value):
-    """True for a Python or numpy integer that is not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def _is_a(value, kinds):
+    """True for an instance of `kinds` that is not a bool."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -131,8 +137,8 @@ class ExperimentConfig:
                  derived from the accuracy pair)
 
     The count fields above and master_seed must be Python or numpy integers
-    (not bools), and a file spec's path a string; anything else raises
-    ValueError.
+    (not bools), the real-valued fields integers or floats (not bools), and
+    a file spec's path a string; anything else raises ValueError.
     """
 
     environment: dict
@@ -180,21 +186,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scheme not in ("norm", "uniform"):
             raise ValueError(f"unknown sampling scheme {self.scheme!r}")
-        if not _is_integer(self.master_seed):
+        if not _is_a(self.master_seed, _INTEGER):
             raise ValueError(
                 f"config field 'master_seed' must be an integer, got {self.master_seed!r}"
             )
         object.__setattr__(self, "master_seed", int(self.master_seed))
-        for name, keys in _INTEGER_FIELDS:
+        for name, kinds, keys in _NUMBER_FIELDS:
             spec = getattr(self, name)
             for key in keys:
                 value = spec.get(key)
-                if key == "horizon" and value is None:
-                    continue
-                if key in spec and not _is_integer(value):
-                    raise ValueError(
-                        f"{name} field {key!r} must be an integer, got {value!r}"
-                    )
+                if key in spec and not _is_a(value, kinds) and (key, value) != ("horizon", None):
+                    what = "an integer" if kinds is _INTEGER else "a real number"
+                    raise ValueError(f"{name} field {key!r} must be {what}, got {value!r}")
         for name in ("basis", "features"):
             spec = getattr(self, name)
             if spec.get("kind") == "file":
@@ -260,7 +263,8 @@ def _build_basis(spec, mdp):
         raise ValueError(f"unknown basis kind {kind!r}")
     problems = validate_basis(basis, mdp)
     if problems:
-        raise ValueError(f"basis invalid: {problems}")
+        where = f"{spec['path']}: " if kind == "file" else ""
+        raise ValueError(f"{where}basis invalid: {problems}")
     return basis
 
 

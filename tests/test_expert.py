@@ -29,16 +29,11 @@ from occupal import (
     region_indicator_basis,
     sample_trajectories,
     save_trajectories,
-    stage_seed,
     state_action_indicator_basis,
     value_iteration,
 )
 from occupal import expert
-from occupal.expert import (
-    _draw,
-    _spawned_uniforms,
-    _support_table,
-)
+from occupal.expert import _draw, _support_table
 
 CHAIN = make_chain(0.5)
 STAY = deterministic_policy(CHAIN, [0, 0])
@@ -121,10 +116,7 @@ def test_indices_stay_in_range():
 def _reference_sample(mdp, policy, m, horizon, seed):
     """The dense inverse-CDF sampler that sample_trajectories must match bit
     for bit: every step compares each draw with its whole cumulative row."""
-    streams = np.random.SeedSequence(seed).spawn(m)
-    uniforms = np.empty((m, 2 * horizon + 1))
-    for k, ss in enumerate(streams):
-        uniforms[k] = np.random.default_rng(ss).random(2 * horizon + 1)
+    uniforms = np.random.default_rng(seed).random((m, 2 * horizon + 1))
     cum_init = np.cumsum(mdp.initial_dist)
     cum_init[-1] = 1.0
     cum_policy = np.cumsum(policy.probs, axis=1)
@@ -177,35 +169,20 @@ def test_sampler_matches_dense_reference_bit_for_bit(case):
         assert np.array_equal(sample_trajectories(mdp, policy, m, horizon, seed), expected)
 
 
-def _numpy_streams(seed, m, n):
-    """Column k: numpy's own default_rng(SeedSequence(seed).spawn(m)[k]).random(n)."""
-    out = np.empty((n, m))
-    for k, child in enumerate(np.random.SeedSequence(seed).spawn(m)):
-        out[:, k] = np.random.default_rng(child).random(n)
-    return out
-
-
-_STREAM_SEEDS = [
-    0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1,
-    stage_seed(77, "expert-trajectories"), stage_seed(4242, "expert-trajectories"),
-]
-
-
-@pytest.mark.parametrize("seed", _STREAM_SEEDS)
-def test_bulk_streams_match_numpy_generators_bit_for_bit(seed):
-    for m, n in ((1, 1), (7, 3), (300, 61)):
-        bulk = _spawned_uniforms(seed, m, n)
-        assert bulk.shape == (n, m)
-        assert np.array_equal(bulk.view(np.int64), _numpy_streams(seed, m, n).view(np.int64))
-
-
-def test_bulk_streams_fall_back_past_four_entropy_words(monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("a seed >= 2^128 took the array path")
-
-    monkeypatch.setattr(expert, "_pcg64_doubles", unreachable)
-    seed = 2**128 + 12345
-    assert np.array_equal(_spawned_uniforms(seed, 7, 3), _numpy_streams(seed, 7, 3))
+def test_prefix_and_advanced_chunk_reproduce_rows_of_the_full_batch():
+    """The first k rollouts do not depend on m, and a generator advanced by
+    k * (2H + 1) draws yields rollouts k onwards: a batch can be generated
+    in chunks."""
+    grid, cost = make_gridworld(4, 4, 0.9, 0.1)
+    policy, horizon, seed = value_iteration(grid, cost)[0], 30, 27
+    full = sample_trajectories(grid, policy, 120, horizon, seed)
+    prefix = sample_trajectories(grid, policy, 45, horizon, seed)
+    assert np.array_equal(prefix, full[:45])
+    chunk_start, chunk_size = 45, 50
+    bits = np.random.default_rng(seed).bit_generator
+    bits.advance(chunk_start * (2 * horizon + 1))
+    chunk = sample_trajectories(grid, policy, chunk_size, horizon, np.random.Generator(bits))
+    assert np.array_equal(chunk, full[chunk_start : chunk_start + chunk_size])
 
 
 def test_support_table_matches_dense_search_at_the_edges():
@@ -289,7 +266,9 @@ def test_estimator_rejects_indices_outside_the_mdp(batch):
     assert edge.values[63] == 1.0 and edge.values[0] == 0.9
 
 
-def test_estimate_matches_dense_gather_bit_for_bit():
+def test_estimate_matches_fsum_within_summation_bound():
+    """Each coordinate is within n u sum|terms| / m of the correctly rounded
+    sum of its m * H terms g^h psi[pair, c], with u the unit roundoff."""
     grid, _ = make_gridworld(4, 4, 0.9, 0.1)
     uniform = Policy(np.full((16, 4), 0.25))
     batch = sample_trajectories(grid, uniform, m=300, horizon=50, seed=13)
@@ -297,9 +276,13 @@ def test_estimate_matches_dense_gather_bit_for_bit():
     weights = 0.9 ** np.arange(50)
     dense = CostBasis(np.random.default_rng(14).uniform(-1.0, 1.0, (64, 5)))
     for basis in (dense, region_indicator_basis(grid, 4)):
-        expected = np.einsum("mhc,h->c", basis.psi[flat], weights) / 300
         est = empirical_feature_expectation(batch, basis, 0.9, 4)
-        assert np.array_equal(est.values.view(np.int64), expected.view(np.int64))
+        terms = weights * basis.psi[flat].transpose(2, 0, 1)  # (c, m, H)
+        n = flat.size + basis.psi.shape[0]
+        for c, column in enumerate(terms):
+            exact = math.fsum(column.ravel().tolist()) / 300
+            bound = n * 2.0**-53 * np.abs(column).sum() / 300
+            assert abs(est.values[c] - exact) <= bound, c
 
 
 def test_estimator_rejects_an_empty_batch():

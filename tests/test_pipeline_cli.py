@@ -495,6 +495,29 @@ def test_cli_rejects_a_count_that_is_not_an_integer(tmp_path, capsys, section, k
     assert f"field '{key}' must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key", [
+    ("environment", "discount"),
+    ("environment", "slip_prob"),
+    ("features", "beta"),
+    ("expert", "vi_tolerance"),
+    ("sgd", "rho"),
+    ("sgd", "lam"),
+    ("sgd", "eta"),
+    ("sgd", "epsilon"),
+    ("sgd", "delta"),
+])
+@pytest.mark.parametrize("value", ["0.5", True, None])
+def test_cli_rejects_a_real_field_that_is_not_a_number(tmp_path, capsys, section, key, value):
+    """float() would parse "0.5" and read true as 1.0 without a word."""
+    blob = chain_config(tmp_path / "run")
+    blob["environment"] = {"kind": "gridworld", "width": 2, "height": 2, "discount": 0.9}
+    blob[section] = {**blob[section], key: value}
+    with pytest.raises(ValueError, match=f"field '{key}' must be a real number"):
+        ExperimentConfig.from_json(blob)
+    assert main(["run", "--config", write_config(tmp_path, blob)]) == 1
+    assert f"field '{key}' must be a real number" in capsys.readouterr().err
+
+
 def test_cli_rejects_a_value_iteration_tolerance_it_cannot_meet(tmp_path, capsys):
     blob = chain_config(tmp_path / "run", expert={"m": 50, "vi_tolerance": -1})
     assert main(["expert", "--config", write_config(tmp_path, blob)]) == 1
@@ -523,6 +546,7 @@ def test_cli_rejects_a_bad_feature_file(tmp_path, capsys, rows, cols, data):
 @pytest.mark.parametrize("text", [
     pytest.param('{"psi": [[1.0]]}', id="no-rows"),
     pytest.param("[1, 2]", id="not-an-object"),
+    pytest.param('{"rows": 3, "cols": 1, "data_colmajor": [0.5, 0.5, 0.5]}', id="three-rows"),
 ])
 def test_cli_rejects_a_malformed_basis_file(tmp_path, capsys, text):
     basis_path = tmp_path / "b.json"
