@@ -65,15 +65,11 @@ _EVALUATE_STAGES = ("environment", "expert-policy", "basis", "features")
 def _load_config(args):
     with open(args.config) as fh:
         blob = json.load(fh)
-    config = ExperimentConfig.from_json(
+    return ExperimentConfig.from_json(
         blob,
         out_dir=getattr(args, "out", None),
         master_seed=getattr(args, "seed", None),
     )
-    scheme = getattr(args, "scheme", None)
-    if scheme is not None:
-        config = dataclasses.replace(config, scheme=scheme)
-    return config
 
 
 def _cmd_slice(args):
@@ -102,9 +98,7 @@ def _cmd_evaluate(args):
     state = run_stages(config, _EVALUATE_STAGES, ())
     mdp, basis, phi = state["mdp"], state["basis"], state["phi"]
     theta = _load_theta(args.theta, phi.d)
-    sgd_config, _, _ = resolve_sgd(
-        config.sgd, state["seeds"]["sgd"], phi, basis, mdp, config.scheme
-    )
+    sgd_config, _, _ = resolve_sgd(config.sgd, state["seeds"]["sgd"], phi, basis, mdp)
     true_fe = feature_expectation(occupancy_of_policy(mdp, state["expert_policy"]), basis)
     mu, gap = evaluate_theta(theta, phi, basis, mdp, true_fe)
     breakdown = surrogate_loss(theta, phi, basis, mdp, true_fe, sgd_config.lam)
@@ -125,9 +119,11 @@ def _cmd_evaluate(args):
 
 
 def _cmd_run(args):
-    config = _load_config(args)
     n = args.parallel_seeds
-    if n is None or n <= 1:
+    if n is not None and n < 1:
+        raise ValueError(f"--parallel-seeds must be at least 1, got {n}")
+    config = _load_config(args)
+    if n is None or n == 1:
         paths = run_experiment(config)
         print(f"wrote {len(paths)} artifacts to {config.out_dir}")
         return 0
@@ -200,12 +196,6 @@ def build_parser():
             cmd.add_argument("--config", required=True, help="experiment config JSON")
             cmd.add_argument("--out", default=None, help="output directory override")
             cmd.add_argument("--seed", type=int, default=None, help="master seed override")
-            cmd.add_argument(
-                "--scheme",
-                choices=("uniform", "norm"),
-                default=None,
-                help="sampling scheme override for q1/q2",
-            )
         return cmd
 
     add("generate", "build the environment and write mdp.json")

@@ -31,12 +31,8 @@ __all__ = [
     "build_feature_matrix",
     "flow_feature_rows",
     "sampling_constants",
-    "basis_to_json",
-    "basis_from_json",
     "save_basis",
     "load_basis",
-    "features_to_json",
-    "features_from_json",
     "save_features",
     "load_features",
 ]
@@ -70,10 +66,11 @@ class FeatureMatrix:
 class SamplingConstants:
     """Sampling distributions and norm constants for the stochastic step.
 
-    q1 is over state-action pairs, q2 over states; c1 and c2 are the worst
-    ratios of column norm to sampling probability, and k bounds the l2 norm
-    of every subgradient estimate drawn with these distributions at the
-    penalty weight `lam`.
+    q1 is over state-action pairs and q2 over states, each proportional to
+    the l2 norms of the rows it draws from; c1 and c2 are the worst ratios
+    of row norm to sampling probability, and k bounds the l2 norm of every
+    subgradient estimate drawn with these distributions at the penalty
+    weight `lam`.
     """
 
     q1: np.ndarray
@@ -82,7 +79,6 @@ class SamplingConstants:
     c2: float
     k: float
     lam: float
-    scheme: str
 
 
 def validate_basis(basis, mdp=None):
@@ -238,40 +234,35 @@ def _floored(weights):
     return q / q.sum()
 
 
-def sampling_constants(phi, mdp, basis, lam, scheme="norm"):
+def sampling_constants(phi, mdp, basis, lam):
     """Build q1, q2 and the constants (C1, C2, K) they induce.
 
-    scheme 'norm' draws each atom proportionally to the l2 norm of its
-    column in the relevant matrix (making the worst ratio equal to the sum
-    of norms); 'uniform' draws uniformly.  Probabilities are floored at
-    1e-12 / support size and renormalized, so they stay strictly positive.
+    q1 draws each state-action pair proportionally to the l2 norm of its
+    row of Phi, and q2 each state proportionally to the l2 norm of its flow
+    row, which makes each worst ratio the sum of those norms, the least
+    that any distribution gives.  Probabilities are floored at 1e-12 /
+    support size and renormalized, so they stay strictly positive.
     """
     if lam < 0:
         raise ValueError(f"penalty weight must be >= 0, got {lam}")
-    if scheme not in ("norm", "uniform"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     phi_arr = _phi_array(phi)
     row_norms = np.linalg.norm(phi_arr, axis=1)
     flow_norms = np.linalg.norm(flow_feature_rows(phi_arr, mdp), axis=1)
-    if scheme == "norm":
-        q1 = _floored(row_norms)
-        q2 = _floored(flow_norms)
-    else:
-        q1 = np.full(mdp.n_pairs, 1.0 / mdp.n_pairs)
-        q2 = np.full(mdp.n_states, 1.0 / mdp.n_states)
+    q1 = _floored(row_norms)
+    q2 = _floored(flow_norms)
     c1 = float((row_norms / q1).max())
     c2 = float((flow_norms / q2).max())
     spectral = float(np.linalg.norm(phi_arr, ord=2))
     psi_col_norms = float(np.linalg.norm(basis.psi, axis=0).sum())
     k = spectral * psi_col_norms + lam * (c1 + c2)
-    return SamplingConstants(q1, q2, c1, c2, k, float(lam), scheme)
+    return SamplingConstants(q1, q2, c1, c2, k, float(lam))
 
 
 # ---------------------------------------------------------------------------
 # serialization (column-major layouts, see README)
 
 
-def basis_to_json(basis):
+def _basis_to_json(basis):
     psi = basis.psi
     return {
         "rows": psi.shape[0],
@@ -280,7 +271,7 @@ def basis_to_json(basis):
     }
 
 
-def basis_from_json(blob):
+def _basis_from_json(blob):
     rows, cols = int(blob["rows"]), int(blob["cols"])
     psi = np.array(blob["data_colmajor"], dtype=float).reshape(
         (rows, cols), order="F"
@@ -290,15 +281,15 @@ def basis_from_json(blob):
 
 def save_basis(path, basis):
     with open(path, "w") as fh:
-        json.dump(basis_to_json(basis), fh)
+        json.dump(_basis_to_json(basis), fh)
 
 
 def load_basis(path):
     with open(path) as fh:
-        return basis_from_json(json.load(fh))
+        return _basis_from_json(json.load(fh))
 
 
-def features_to_json(features):
+def _features_to_json(features):
     phi = features.phi
     return {
         "rows": phi.shape[0],
@@ -309,7 +300,7 @@ def features_to_json(features):
     }
 
 
-def features_from_json(blob):
+def _features_from_json(blob):
     rows, cols = int(blob["rows"]), int(blob["cols"])
     phi = np.array(blob["data_colmajor"], dtype=float).reshape(
         (rows, cols), order="F"
@@ -320,9 +311,9 @@ def features_from_json(blob):
 
 def save_features(path, features):
     with open(path, "w") as fh:
-        json.dump(features_to_json(features), fh)
+        json.dump(_features_to_json(features), fh)
 
 
 def load_features(path):
     with open(path) as fh:
-        return features_from_json(json.load(fh))
+        return _features_from_json(json.load(fh))

@@ -28,21 +28,17 @@ __all__ = [
     "state_transition_matrix",
     "occupancy_of_policy",
     "truncated_series_occupancy",
-    "state_marginal",
     "flow_defect",
     "flow_residual",
     "expected_return",
     "value_iteration",
     "make_random_mdp",
     "make_gridworld",
-    "gridworld_cost",
     "make_chain",
     "chain_cost",
     "mdp_to_json",
-    "mdp_from_json",
     "load_mdp",
     "policy_to_json",
-    "policy_from_json",
     "load_policy",
 ]
 
@@ -186,7 +182,7 @@ def truncated_series_occupancy(mdp, policy, horizon):
     return OccupancyMeasure(acc)
 
 
-def state_marginal(mdp, u):
+def _state_marginal(mdp, u):
     """Sum a vector over actions: B^T u, with B the pair-to-state incidence."""
     return np.asarray(u).reshape(mdp.n_states, mdp.n_actions).sum(axis=1)
 
@@ -195,7 +191,7 @@ def flow_defect(mdp, u):
     """Signed Bellman-flow defect (B - g P)^T u - nu0 of an arbitrary vector."""
     u = np.asarray(u, dtype=float)
     return (
-        state_marginal(mdp, u)
+        _state_marginal(mdp, u)
         - mdp.discount * (mdp.transition.T @ u)
         - mdp.initial_dist
     )
@@ -314,10 +310,10 @@ def make_gridworld(width, height, discount, slip_prob):
     initial = np.zeros(n_states)
     initial[0] = 1.0
     mdp = Mdp(n_states, n_actions, transition, float(discount), initial)
-    return mdp, gridworld_cost(width, height)
+    return mdp, _gridworld_cost(width, height)
 
 
-def gridworld_cost(width, height):
+def _gridworld_cost(width, height):
     """Unit cost everywhere except the bottom-right goal cell (cost 0)."""
     n_states = width * height
     cost = np.ones(n_states * 4)
@@ -367,7 +363,7 @@ def mdp_to_json(mdp):
     }
 
 
-def mdp_from_json(blob):
+def _mdp_from_json(blob):
     n, k = int(blob["n_states"]), int(blob["n_actions"])
     transition = np.array(blob["transition"], dtype=float).reshape(n * k, n)
     initial = np.array(blob["initial_dist"], dtype=float)
@@ -377,18 +373,18 @@ def mdp_from_json(blob):
 def load_mdp(path):
     """MDP in a JSON file such as a run's mdp.json; other keys are ignored."""
     with open(path) as fh:
-        return mdp_from_json(json.load(fh))
+        return _mdp_from_json(json.load(fh))
 
 
 def policy_to_json(policy):
     return {"probs": [list(map(float, row)) for row in policy.probs]}
 
 
-def policy_from_json(blob):
+def _policy_from_json(blob):
     return Policy(np.array(blob["probs"], dtype=float))
 
 
 def load_policy(path):
     """Policy in a JSON file such as a run's policy.json; other keys are ignored."""
     with open(path) as fh:
-        return policy_from_json(json.load(fh))
+        return _policy_from_json(json.load(fh))

@@ -99,20 +99,22 @@ def stage_seed(master_seed, stage):
     return _splitmix64((int(master_seed) ^ tag) & _MASK64)
 
 
-# Section fields that must hold a number when present ("horizon" may be null):
-# a count an integer, any other field an integer or a float; a bool is neither.
+# The keys each section accepts, the union over the section's kinds, with
+# the types a key's value must have when present (None: checked where the
+# stage reads it).  A count must be an integer, any other number an integer
+# or a float; a bool is neither.  "horizon" may also be null.
 _INTEGER, _REAL = (int, np.integer), (int, np.integer, float, np.floating)
-_NUMBER_FIELDS = (
-    ("environment", _INTEGER, ("width", "height", "n_states", "n_actions")),
-    ("environment", _REAL, ("discount", "slip_prob")),
-    ("basis", _INTEGER, ("n_blocks",)),
-    ("features", _INTEGER, ("d",)),
-    ("features", _REAL, ("beta",)),
-    ("expert", _INTEGER, ("m", "horizon")),
-    ("expert", _REAL, ("vi_tolerance",)),
-    ("sgd", _INTEGER, ("iterations", "batch_size")),
-    ("sgd", _REAL, ("rho", "lam", "eta", "epsilon", "delta")),
-)
+_SECTION_FIELDS = {
+    "environment": {"kind": None, "width": _INTEGER, "height": _INTEGER,
+                    "n_states": _INTEGER, "n_actions": _INTEGER,
+                    "discount": _REAL, "slip_prob": _REAL},
+    "basis": {"kind": None, "n_blocks": _INTEGER, "path": None},
+    "features": {"kind": None, "path": None, "d": _INTEGER, "beta": _REAL},
+    "expert": {"vi_tolerance": _REAL, "m": _INTEGER, "horizon": _INTEGER},
+    "sgd": {"rho": _REAL, "lam": _REAL, "eta": _REAL, "iterations": _INTEGER,
+            "epsilon": _REAL, "delta": _REAL},
+}
+_CONFIG_FIELDS = (*_SECTION_FIELDS, "out_dir", "master_seed")
 
 
 def _is_a(value, kinds):
@@ -132,13 +134,15 @@ class ExperimentConfig:
                  | {"kind": "file", path}
     features:    {"d": int, "beta": float} | {"kind": "file", path}
     expert:      {"vi_tolerance": float, "m": int, "horizon": int | None}
-    sgd:         {"rho", "lam", "eta", "iterations", "batch_size"?}
+    sgd:         {"rho", "lam", "eta", "iterations"}
                  | {"epsilon", "delta", "rho"} (hyperparameters are then
                  derived from the accuracy pair)
 
-    The count fields above and master_seed must be Python or numpy integers
-    (not bools), the real-valued fields integers or floats (not bools), and
-    a file spec's path a string; anything else raises ValueError.
+    A key that no kind of its section reads, or a top-level key other than
+    these sections, out_dir and master_seed, raises ValueError.  The count
+    fields above and master_seed must be Python or numpy integers (not
+    bools), the real-valued fields integers or floats (not bools), and a
+    file spec's path a string; anything else raises ValueError.
     """
 
     environment: dict
@@ -148,7 +152,6 @@ class ExperimentConfig:
     sgd: dict
     out_dir: str
     master_seed: int
-    scheme: str = "norm"
 
     @staticmethod
     def from_json(blob, out_dir=None, master_seed=None):
@@ -159,15 +162,13 @@ class ExperimentConfig:
             blob["out_dir"] = out_dir
         if master_seed is not None:
             blob["master_seed"] = master_seed
-        missing = [
-            key
-            for key in ("environment", "basis", "features", "expert", "sgd",
-                        "out_dir", "master_seed")
-            if key not in blob
-        ]
+        missing = [key for key in _CONFIG_FIELDS if key not in blob]
         if missing:
             raise ValueError(f"config missing fields: {missing}")
-        for key in ("environment", "basis", "features", "expert", "sgd"):
+        for key in blob:
+            if key not in _CONFIG_FIELDS:
+                raise ValueError(f"config field {key!r} is not a config field")
+        for key in _SECTION_FIELDS:
             if not isinstance(blob[key], dict):
                 raise ValueError(
                     f"config field {key!r} must be a JSON object, got {blob[key]!r}"
@@ -180,22 +181,20 @@ class ExperimentConfig:
             sgd=dict(blob["sgd"]),
             out_dir=str(blob["out_dir"]),
             master_seed=blob["master_seed"],
-            scheme=str(blob.get("scheme", "norm")),
         )
 
     def __post_init__(self):
-        if self.scheme not in ("norm", "uniform"):
-            raise ValueError(f"unknown sampling scheme {self.scheme!r}")
         if not _is_a(self.master_seed, _INTEGER):
             raise ValueError(
                 f"config field 'master_seed' must be an integer, got {self.master_seed!r}"
             )
         object.__setattr__(self, "master_seed", int(self.master_seed))
-        for name, kinds, keys in _NUMBER_FIELDS:
-            spec = getattr(self, name)
-            for key in keys:
-                value = spec.get(key)
-                if key in spec and not _is_a(value, kinds) and (key, value) != ("horizon", None):
+        for name, fields in _SECTION_FIELDS.items():
+            for key, value in getattr(self, name).items():
+                if key not in fields:
+                    raise ValueError(f"{name} field {key!r} is not a config field")
+                kinds = fields[key]
+                if kinds and not _is_a(value, kinds) and (key, value) != ("horizon", None):
                     what = "an integer" if kinds is _INTEGER else "a real number"
                     raise ValueError(f"{name} field {key!r} must be {what}, got {value!r}")
         for name in ("basis", "features"):
@@ -290,7 +289,7 @@ def _build_features(spec, mdp, seed):
     )
 
 
-def resolve_sgd(spec, seed, phi, basis, mdp, scheme):
+def resolve_sgd(spec, seed, phi, basis, mdp):
     """Explicit hyperparameters, or derive them from (epsilon, delta, rho).
 
     Returns (config, constants, sample size): the sample size is the
@@ -303,7 +302,7 @@ def resolve_sgd(spec, seed, phi, basis, mdp, scheme):
         delta = float(spec["delta"])
         rho = float(spec["rho"])
         lam = 1.0 / epsilon
-        constants = sampling_constants(phi, mdp, basis, lam, scheme=scheme)
+        constants = sampling_constants(phi, mdp, basis, lam)
         schedule = certified_schedule(
             epsilon, delta, rho, phi.d, basis.n_costs, mdp.discount, constants.k
         )
@@ -324,9 +323,8 @@ def resolve_sgd(spec, seed, phi, basis, mdp, scheme):
         eta=float(spec["eta"]),
         iterations=int(spec["iterations"]),
         seed=seed,
-        batch_size=int(spec.get("batch_size", 1)),
     )
-    constants = sampling_constants(phi, mdp, basis, config.lam, scheme=scheme)
+    constants = sampling_constants(phi, mdp, basis, config.lam)
     return config, constants, None
 
 
@@ -436,7 +434,7 @@ def _sgd(state):
     config, seed = state["config"], state["seeds"]["sgd"]
     phi, basis, mdp = state["phi"], state["basis"], state["mdp"]
     sgd_config, constants, state["sample_size"] = resolve_sgd(
-        config.sgd, seed, phi, basis, mdp, config.scheme
+        config.sgd, seed, phi, basis, mdp
     )
     state["sgd_config"] = sgd_config
     trace, state["trained_policy"] = run_sgd_al(
@@ -451,11 +449,9 @@ def _sgd(state):
             "lam": sgd_config.lam,
             "eta": sgd_config.eta,
             "iterations": sgd_config.iterations,
-            "batch_size": sgd_config.batch_size,
             "epsilon": sgd_config.epsilon,
             "delta": sgd_config.delta,
         },
-        "scheme": config.scheme,
         "master_seed": config.master_seed,
         "stage_seed": seed,
     }

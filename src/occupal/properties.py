@@ -110,7 +110,7 @@ def estimator_bias(rng, n_thetas):
             mean = np.zeros(4)
             for pair in range(mdp.n_pairs):
                 for state in range(mdp.n_states):
-                    g = estimator.estimate(theta, (pair,), (state,))
+                    g = estimator.estimate(theta, pair, state)
                     mean += constants.q1[pair] * constants.q2[state] * g
             exact = exact_subgradient(theta, phi, basis, mdp, target, lam)
             worst = max(worst, float(np.abs(mean - exact).max()))

@@ -15,7 +15,7 @@ with it, and the unbiasedness and norm checks build one per instance, so
 they test the code that trains.  It takes lam, q1 and q2 from the
 SamplingConstants, so K bounds every estimate it forms.  An estimate
 depends on the iterate only through a few signs (of the cost residuals,
-of each drawn state's flow residual, of each drawn pair's measure), and
+of the drawn state's flow residual, of the drawn pair's measure), and
 a run meets few distinct sign keys, so the training step memoises each
 key's (norm, step) and forms an estimate only for a new key.  The loop forms
 theta . theta only when an upper bound on the iterate's norm reaches rho.
@@ -62,7 +62,6 @@ class SgdConfig:
     eta: float
     iterations: int
     seed: int
-    batch_size: int = 1
     epsilon: float | None = None
     delta: float | None = None
 
@@ -76,8 +75,6 @@ class SgdConfig:
             raise ValueError(f"eta must be positive, got {self.eta}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -169,19 +166,20 @@ class SubgradientEstimator:
 
     Built once from (Phi, Psi, target) and the SamplingConstants' lam, q1
     and q2: A = Psi^T Phi, the flow rows of Phi, the cumulative sums of q1
-    and q2, and the penalty rows t2 = lam/q2 * flow and t3 = lam/q1 * Phi,
-    each scaled by 1/batch.  Each estimate averages `batch` (pair, state)
-    draws, and its l2 norm is at most constants.k.
+    and q2, and the penalty rows t2 = lam/q2 * flow and t3 = lam/q1 * Phi.
+    Each estimate reads one (pair, state) draw, and its l2 norm is at most
+    constants.k.
 
     `draw` is the inverse-CDF draw of the indices, `estimate` the estimate
-    at given indices, and `sample` the two together.  `_signs` finds every
-    sign an estimate branches on and `_from_signs` forms the estimate from
-    them; `estimate` and the memoised `step` are built on these two alone.
+    at a given pair and state, and `sample` the two together.  `_signs`
+    finds every sign an estimate branches on and `_from_signs` forms the
+    estimate from them; `estimate` and the memoised `step` are built on
+    these two alone.
     `losses` evaluates stored iterates in a way that reproduces the
     one-at-a-time loss bit for bit.
     """
 
-    def __init__(self, phi, basis, mdp, target, constants, batch=1, eta=1.0):
+    def __init__(self, phi, basis, mdp, target, constants, eta=1.0):
         phi_arr = _phi_array(phi)
         self.target = _target_vector(basis, target)
         self.a_mat = basis.psi.T @ phi_arr  # (n_c, d)
@@ -189,104 +187,91 @@ class SubgradientEstimator:
         self.phi = phi_arr
         self.flow = flow_feature_rows(phi_arr, mdp)  # (S, d)
         self.nu0 = mdp.initial_dist
-        self.batch = batch
         self.cum1 = np.cumsum(constants.q1)
         self.cum2 = np.cumsum(constants.q2)
-        scale = constants.lam / batch
         # per-row lists: indexing a list is cheaper than indexing an array
         self.flow_rows = list(self.flow)
         self.nu0_list = self.nu0.tolist()
-        self.t2_rows = list((scale / constants.q2)[:, None] * self.flow)
+        self.t2_rows = list((constants.lam / constants.q2)[:, None] * self.flow)
         self.phi_rows = list(phi_arr)
-        self.t3_rows = list((scale / constants.q1)[:, None] * phi_arr)
+        self.t3_rows = list((constants.lam / constants.q1)[:, None] * phi_arr)
         self.eta = eta
         self._memo = {}
         self._memo_cap = max(
             1, _MEMO_ELEMENTS // (basis.n_costs + self.a_t.shape[0] + 40)
         )
 
-    def _signs(self, theta, pairs, states):
+    def _signs(self, theta, pair, state):
         """(sign(A theta - target), key): everything an estimate reads of theta.
 
-        The key holds the bytes of the cost-residual signs, then a code per
-        drawn state (y for a positive flow residual, ~y for a negative one,
-        None for zero) and per drawn pair (xa for a negative measure, None
-        otherwise), in draw order.
+        The key holds the bytes of the cost-residual signs, a code for the
+        drawn state (state for a positive flow residual, ~state for a
+        negative one, None for zero) and one for the drawn pair (pair for a
+        negative measure, None otherwise).
         """
         # ndarray.dot calls the same BLAS routines as @ with half the call
         # overhead on operands this small
         cost_signs = np.sign(self.a_mat.dot(theta) - self.target)
-        key = [cost_signs.tobytes()]
-        flow_rows, nu0 = self.flow_rows, self.nu0_list
-        for y in states:
-            r = float(flow_rows[y].dot(theta)) - nu0[y]
-            key.append(y if r > 0.0 else ~y if r < 0.0 else None)
-        phi_rows = self.phi_rows
-        for xa in pairs:
-            key.append(xa if float(phi_rows[xa].dot(theta)) < 0.0 else None)
-        return cost_signs, tuple(key)
+        r = float(self.flow_rows[state].dot(theta)) - self.nu0_list[state]
+        flow_code = state if r > 0.0 else ~state if r < 0.0 else None
+        pair_code = pair if float(self.phi_rows[pair].dot(theta)) < 0.0 else None
+        return cost_signs, (cost_signs.tobytes(), flow_code, pair_code)
 
-    def _from_signs(self, cost_signs, key, n_states):
-        """The estimate whose signs _signs returned for n_states drawn states."""
+    def _from_signs(self, cost_signs, key):
+        """The estimate whose signs _signs returned."""
         g = self.a_t.dot(cost_signs)
-        t2_rows, t3_rows = self.t2_rows, self.t3_rows
-        for code in key[1 : 1 + n_states]:
-            if code is None:
-                continue
-            if code >= 0:
-                g += t2_rows[code]
+        _, flow_code, pair_code = key
+        if flow_code is not None:
+            if flow_code >= 0:
+                g += self.t2_rows[flow_code]
             else:
-                g -= t2_rows[~code]
-        for code in key[1 + n_states :]:
-            if code is not None:
-                g -= t3_rows[code]
+                g -= self.t2_rows[~flow_code]
+        if pair_code is not None:
+            g -= self.t3_rows[pair_code]
         return g
 
     def draw(self, rng, n):
-        """(pairs, states): n lists of batch indices each, drawn from q1 and q2.
+        """(pairs, states): n pair indices drawn from q1 and n state indices
+        from q2.
 
-        Consumes rng.random((n, 2 * batch)); the first batch columns pick
-        the pairs and the rest the states, by inverse CDF.
+        Consumes rng.random((n, 2)); column 0 picks the pairs and column 1
+        the states, by inverse CDF.
         """
-        u = rng.random((n, 2 * self.batch))
+        u = rng.random((n, 2))
         pairs = np.minimum(
-            np.searchsorted(self.cum1, u[:, : self.batch], side="right"),
-            self.cum1.size - 1,
+            np.searchsorted(self.cum1, u[:, 0], side="right"), self.cum1.size - 1
         )
         states = np.minimum(
-            np.searchsorted(self.cum2, u[:, self.batch :], side="right"),
-            self.cum2.size - 1,
+            np.searchsorted(self.cum2, u[:, 1], side="right"), self.cum2.size - 1
         )
         return pairs.tolist(), states.tolist()
 
-    def estimate(self, theta, pairs, states):
-        """Estimate at theta from one batch of drawn pairs and states.
+    def estimate(self, theta, pair, state):
+        """Estimate at theta from one drawn pair and state.
 
-        The penalty rows carry the 1/batch factor, so this is the mean of
-        the single-draw estimates.  Averaging the single-draw estimate over
-        pair ~ q1 and state ~ q2 reproduces exact_subgradient.
+        Averaging it over pair ~ q1 and state ~ q2 reproduces
+        exact_subgradient.
         """
         theta = np.asarray(theta, dtype=float)
-        cost_signs, key = self._signs(theta, pairs, states)
-        return self._from_signs(cost_signs, key, len(states))
+        return self._from_signs(*self._signs(theta, pair, state))
 
     def sample(self, theta, rng):
-        """Estimate at theta from one draw; consumes rng.random((1, 2 * batch))."""
+        """Estimate at theta from one draw; consumes rng.random((1, 2))."""
         pairs, states = self.draw(rng, 1)
         return self.estimate(theta, pairs[0], states[0])
 
-    def step(self, theta, pairs, states, memoise):
+    def step(self, theta, pair, state, memoise):
         """(||g||, eta * g) for the estimate g at theta.
 
-        With memoise, the pair is formed once per sign key while the memo
+        With memoise, the result is formed once per sign key while the memo
         has room and reused after, so every value is one that estimate and
         the unmemoised step compute.  Callers pass memoise=False for an
         iterate that is not finite: its key must not meet a stored one.
         """
-        cost_signs, key = self._signs(theta, pairs, states)
+        cost_signs, key = self._signs(theta, pair, state)
         hit = self._memo.get(key) if memoise else None
         if hit is None:
-            g = self._from_signs(cost_signs, key, len(states))
+            g = self._from_signs(cost_signs, key)
             hit = (math.sqrt(g.dot(g)), self.eta * g)
             if memoise and len(self._memo) < self._memo_cap:
                 self._memo[key] = hit
@@ -345,9 +330,7 @@ def run_sgd_al(config, phi, basis, mdp, target, constants):
         )
     lam, eta, rho = config.lam, config.eta, config.rho
     T = config.iterations
-    kernel = SubgradientEstimator(
-        phi, basis, mdp, target, constants, config.batch_size, eta
-    )
+    kernel = SubgradientEstimator(phi, basis, mdp, target, constants, eta)
     step = kernel.step
     phi_arr = kernel.phi
     n_pairs, dim = phi_arr.shape
@@ -378,8 +361,8 @@ def run_sgd_al(config, phi, basis, mdp, target, constants):
         pair_idx, state_idx = kernel.draw(rng, block)
         iterates[0] = theta_sum
         norms = []
-        for t, (pairs, states) in enumerate(zip(pair_idx, state_idx), start + 1):
-            gn, eta_g = step(theta, pairs, states, bound < inf)
+        for t, (pair, state) in enumerate(zip(pair_idx, state_idx), start + 1):
+            gn, eta_g = step(theta, pair, state, bound < inf)
             if not gn <= k_limit:  # also catches a NaN estimate
                 raise RuntimeError(
                     f"subgradient norm {gn} exceeded K={constants.k} at step {t}"

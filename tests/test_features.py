@@ -205,7 +205,7 @@ def test_norm_scheme_row_ratio_is_constant():
     mdp = make_random_mdp(4, 2, 0.6, seed=5)
     phi = build_feature_matrix(mdp, 3, seed=5)
     basis = state_action_indicator_basis(mdp)
-    constants = sampling_constants(phi, mdp, basis, lam=1.0, scheme="norm")
+    constants = sampling_constants(phi, mdp, basis, lam=1.0)
     row_norms = np.sqrt((phi.phi**2).sum(axis=1))
     assert constants.c1 == pytest.approx(row_norms.sum(), rel=1e-9)
     assert constants.q1.min() > 0.0
@@ -213,21 +213,12 @@ def test_norm_scheme_row_ratio_is_constant():
     assert constants.q2.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_uniform_scheme_c1_is_count_times_max():
-    mdp = make_random_mdp(4, 2, 0.6, seed=6)
-    phi = build_feature_matrix(mdp, 3, seed=6)
-    basis = state_action_indicator_basis(mdp)
-    constants = sampling_constants(phi, mdp, basis, lam=1.0, scheme="uniform")
-    row_norms = np.sqrt((phi.phi**2).sum(axis=1))
-    assert constants.c1 == pytest.approx(8.0 * row_norms.max(), rel=1e-9)
-
-
 def test_k_formula_assembly():
     mdp = make_random_mdp(5, 2, 0.7, seed=7)
     phi = build_feature_matrix(mdp, 3, seed=7)
     basis = region_indicator_basis(mdp, 3)
     lam = 2.5
-    constants = sampling_constants(phi, mdp, basis, lam, scheme="norm")
+    constants = sampling_constants(phi, mdp, basis, lam)
     spectral = np.linalg.norm(phi.phi, ord=2)
     psi_col_norms = np.sqrt((basis.psi**2).sum(axis=0)).sum()
     expected = spectral * psi_col_norms + lam * (constants.c1 + constants.c2)
@@ -238,7 +229,7 @@ def test_k_bounds_sampled_gradient_norms():
     """No draw of the one-sample estimate may exceed k (chain, d=2, lam=1)."""
     phi = build_feature_matrix(CHAIN, 2, seed=8)
     basis = state_action_indicator_basis(CHAIN)
-    constants = sampling_constants(phi, CHAIN, basis, lam=1.0, scheme="norm")
+    constants = sampling_constants(phi, CHAIN, basis, lam=1.0)
     mu = occupancy_of_policy(CHAIN, uniform_policy(CHAIN))
     target = feature_expectation(mu, basis)
     estimator = SubgradientEstimator(phi, basis, CHAIN, target, constants)
@@ -249,13 +240,6 @@ def test_k_bounds_sampled_gradient_norms():
         g = estimator.sample(theta, rng)
         worst = max(worst, float(np.sqrt(g @ g)))
     assert worst <= constants.k * (1.0 + 1e-12)
-
-
-def test_sampling_constants_rejects_unknown_scheme():
-    phi = build_feature_matrix(CHAIN, 2, seed=10)
-    basis = state_action_indicator_basis(CHAIN)
-    with pytest.raises(ValueError):
-        sampling_constants(phi, CHAIN, basis, lam=1.0, scheme="fancy")
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,7 @@ GRIDWORLD_4X4 = {
     pytest.param(GRIDWORLD_4X4, [], id="gridworld-4x4-regions"),
     pytest.param({"sgd": {"epsilon": 0.99, "delta": 0.99, "rho": 0.1}}, [],
                  id="accuracy-pair"),
-    pytest.param({}, ["--seed", "21", "--scheme", "uniform"], id="seed-scheme-flags"),
+    pytest.param({}, ["--seed", "21"], id="seed-scheme-flags"),
 ])
 def test_cli_run_and_staged_subcommands_agree(tmp_path, capsys, overrides, flags):
     full = tmp_path / "full"
@@ -350,12 +350,10 @@ def test_cli_overrides(tmp_path):
     config_path = write_config(tmp_path, chain_config(tmp_path / "ignored"))
     assert main([
         "run", "--config", config_path, "--out", str(out), "--seed", "21",
-        "--scheme", "uniform",
     ]) == 0
     mdp_blob = json.loads((out / "mdp.json").read_text())
     assert mdp_blob["master_seed"] == 21
     theta_blob = json.loads((out / "theta.json").read_text())
-    assert theta_blob["scheme"] == "uniform"
     assert theta_blob["master_seed"] == 21
 
 
@@ -374,6 +372,15 @@ def test_cli_parallel_seeds(tmp_path):
     assert (parent / "seed-8" / "trace.csv").read_bytes() == (
         direct / "trace.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_cli_parallel_seeds_rejects_a_count_below_one(tmp_path, capsys, n):
+    parent = tmp_path / "sweep"
+    config_path = write_config(tmp_path, chain_config(parent))
+    assert main(["run", "--config", config_path, "--parallel-seeds", n]) == 1
+    assert "--parallel-seeds" in capsys.readouterr().err
+    assert not parent.exists()
 
 
 @pytest.mark.parametrize("cpus, n, expected", [(2, 5, 2), (None, 3, 1), (8, 3, 3)])
@@ -516,6 +523,26 @@ def test_cli_rejects_a_real_field_that_is_not_a_number(tmp_path, capsys, section
         ExperimentConfig.from_json(blob)
     assert main(["run", "--config", write_config(tmp_path, blob)]) == 1
     assert f"field '{key}' must be a real number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    (None, "scheme", "uniform"),
+    ("sgd", "batch_size", 4),
+    ("sgd", "iterationz", 100),
+])
+def test_cli_rejects_a_key_that_is_not_a_config_field(tmp_path, capsys, section, key, value):
+    """A key that nothing reads would otherwise be ignored without a word."""
+    blob = chain_config(tmp_path / "run")
+    if section is None:
+        blob[key] = value
+    else:
+        blob[section] = {**blob[section], key: value}
+    message = f"{section or 'config'} field '{key}' is not a config field"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_json(blob)
+    assert main(["run", "--config", write_config(tmp_path, blob)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_rejects_a_value_iteration_tolerance_it_cannot_meet(tmp_path, capsys):

@@ -187,7 +187,7 @@ def test_estimate_is_unbiased_exhaustively():
             mean = np.zeros(3)
             for xa in range(mdp.n_pairs):
                 for y in range(mdp.n_states):
-                    g = estimator.estimate(theta, (xa,), (y,))
+                    g = estimator.estimate(theta, xa, y)
                     mean += constants.q1[xa] * constants.q2[y] * g
             exact = exact_subgradient(theta, phi, basis, mdp, target, lam)
             assert np.abs(mean - exact).max() < 1e-10
@@ -203,7 +203,7 @@ def test_zero_penalty_estimate_is_deterministic():
     exact = exact_subgradient(theta, phi, basis, mdp, target, 0.0)
     for xa in range(mdp.n_pairs):
         for y in range(mdp.n_states):
-            g = estimator.estimate(theta, (xa,), (y,))
+            g = estimator.estimate(theta, xa, y)
             assert np.abs(g - exact).max() < 1e-14
 
 
@@ -223,16 +223,15 @@ def test_stochastic_draws_average_to_exact():
 
 def test_estimate_norm_never_exceeds_k():
     rng = np.random.default_rng(28)
-    for scheme in ("norm", "uniform"):
-        mdp, phi, basis = _random_instance(29)
-        target = rng.normal(0.0, 1.0, basis.psi.shape[1])
-        lam = 3.0
-        constants = sampling_constants(phi, mdp, basis, lam, scheme=scheme)
-        estimator = SubgradientEstimator(phi, basis, mdp, target, constants)
-        for _ in range(2000):
-            theta = project_l2_ball(rng.normal(0.0, 2.0, 3), 2.0)
-            g = estimator.sample(theta, rng)
-            assert math.sqrt(float(g @ g)) <= constants.k * (1.0 + 1e-9)
+    mdp, phi, basis = _random_instance(29)
+    target = rng.normal(0.0, 1.0, basis.psi.shape[1])
+    lam = 3.0
+    constants = sampling_constants(phi, mdp, basis, lam)
+    estimator = SubgradientEstimator(phi, basis, mdp, target, constants)
+    for _ in range(2000):
+        theta = project_l2_ball(rng.normal(0.0, 2.0, 3), 2.0)
+        g = estimator.sample(theta, rng)
+        assert math.sqrt(float(g @ g)) <= constants.k * (1.0 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +284,7 @@ def test_single_step_unrolls_by_hand():
     pair = min(int(np.searchsorted(cum1, u1, side="right")), 3)
     state = min(int(np.searchsorted(cum2, u2, side="right")), 1)
     estimator = SubgradientEstimator(CHAIN_PHI, CHAIN_BASIS, CHAIN, target, constants)
-    g = estimator.estimate(np.zeros(4), (pair,), (state,))
+    g = estimator.estimate(np.zeros(4), pair, state)
     expected = project_l2_ball(-eta * g, rho)
     assert np.abs(trace.theta_avg - expected).max() < 1e-12
     loss = surrogate_loss(expected, CHAIN_PHI, CHAIN_BASIS, CHAIN, target, 5.0)
@@ -317,20 +316,14 @@ def test_trace_internal_consistency():
     assert (trace.v1 >= 0).all() and (trace.v2 >= 0).all()
 
 
-def test_batched_steps_stay_feasible():
-    target, constants = _chain_setup()
-    cfg = SgdConfig(rho=2.1, lam=5.0, eta=1e-3, iterations=300, seed=9, batch_size=4)
-    trace, _ = run_sgd_al(cfg, CHAIN_PHI, CHAIN_BASIS, CHAIN, target, constants)
-    assert np.isfinite(trace.loss_total).all()
-    assert float(trace.theta_avg @ trace.theta_avg) <= 2.1**2 * (1 + 1e-12)
-
-
 def _reference_sgd(config, phi, basis, mdp, target, constants):
-    """The single-draw training loop with in-loop loss recording.
+    """The training loop without the step memo, the norm bound or chunks.
 
-    A straight loop that forms each estimate from scratch and records the
-    loss of every new iterate as it goes; run_sgd_al must match it bit for
-    bit.  Returns the trace columns, theta_avg and the first estimate.
+    A straight loop that forms each estimate from scratch, forms
+    theta . theta at every step and records the loss of every new iterate
+    as it goes; run_sgd_al must match it bit for bit.  Returns the trace
+    columns, theta_avg, the first estimate with its (pair, state) draw, and
+    the number of projected steps.
     """
     phi_arr = np.asarray(phi.phi if hasattr(phi, "phi") else phi)
     n_pairs, dim = phi_arr.shape
@@ -343,24 +336,22 @@ def _reference_sgd(config, phi, basis, mdp, target, constants):
     t3 = (lam / constants.q1)[:, None] * phi_arr
     cum1, cum2 = np.cumsum(constants.q1), np.cumsum(constants.q2)
     draws = np.random.default_rng(config.seed).random((T, 2))
-    pair_idx = np.minimum(
-        np.searchsorted(cum1, draws[:, :1], side="right"), n_pairs - 1
-    )
+    pair_idx = np.minimum(np.searchsorted(cum1, draws[:, 0], side="right"), n_pairs - 1)
     state_idx = np.minimum(
-        np.searchsorted(cum2, draws[:, 1:], side="right"), mdp.n_states - 1
+        np.searchsorted(cum2, draws[:, 1], side="right"), mdp.n_states - 1
     )
     theta, theta_sum = np.zeros(dim), np.zeros(dim)
     cols = {
         name: np.empty(T) for name in ("total", "objective", "v1", "v2", "grad_norm")
     }
-    first = None
+    first, projected = None, 0
     for t in range(T):
         g = a_t @ np.sign(a_mat @ theta - target)
-        y = state_idx[t, 0]
+        y = state_idx[t]
         s2 = np.sign(float(flow_rows[y] @ theta) - nu0[y])
         if s2 != 0.0:
             g = g + s2 * t2[y]
-        xa = pair_idx[t, 0]
+        xa = pair_idx[t]
         if float(phi_arr[xa] @ theta) < 0.0:
             g = g - t3[xa]
         if first is None:
@@ -370,6 +361,7 @@ def _reference_sgd(config, phi, basis, mdp, target, constants):
         nrm_sq = float(theta @ theta)
         if nrm_sq > rho * rho:
             theta = theta * (rho / math.sqrt(nrm_sq))
+            projected += 1
         theta_sum += theta
         obj = float(np.abs(a_mat @ theta - target).sum())
         v1 = float(-np.minimum(phi_arr @ theta, 0.0).sum())
@@ -379,7 +371,13 @@ def _reference_sgd(config, phi, basis, mdp, target, constants):
         cols["v2"][t] = v2
         cols["total"][t] = obj + lam * (v1 + v2)
         cols["grad_norm"][t] = gn
-    return cols, theta_sum / T, first, (int(pair_idx[0, 0]), int(state_idx[0, 0]))
+    draw = (int(pair_idx[0]), int(state_idx[0]))
+    return cols, theta_sum / T, first, draw, projected
+
+
+def _chain_instance():
+    target, constants = _chain_setup()
+    return CHAIN_PHI, CHAIN_BASIS, CHAIN, target, constants, 5.0
 
 
 def _gridworld_setup():
@@ -392,35 +390,46 @@ def _gridworld_setup():
     return phi, basis, mdp, target, sampling_constants(phi, mdp, basis, lam), lam
 
 
-@pytest.mark.parametrize("instance", ["gridworld", "chain", "wide"])
-def test_training_matches_reference_loop_bit_for_bit(instance):
-    """Chunked recording and the shared estimator change no bit of the run.
+def _wide_setup():
+    mdp = make_random_mdp(80, 4, 0.9, seed=44)
+    phi = build_feature_matrix(mdp, 6, seed=45)
+    basis = state_action_indicator_basis(mdp)
+    target = basis.psi.T @ occupancy_of_policy(mdp, deterministic_policy(
+        mdp, np.zeros(mdp.n_states, dtype=int))).mass
+    lam = 3.0
+    return phi, basis, mdp, target, sampling_constants(phi, mdp, basis, lam), lam
+
+
+_SETUPS = {"chain": _chain_instance, "gridworld": _gridworld_setup, "wide": _wide_setup}
+
+
+@pytest.mark.parametrize("instance, rho, eta, iterations, seed, projects", [
+    pytest.param("gridworld", 0.5, 2e-4, 9_000, 41, True, id="gridworld"),
+    pytest.param("chain", 2.1, 2e-3, 9_000, 42, False, id="chain"),
+    pytest.param("wide", 0.5, 1e-3, 500, 46, False, id="wide"),
+    pytest.param("gridworld", 0.5, 2e-4, 6_000, 47, True, id="gridworld-memo"),
+    pytest.param("wide", 0.1, 3e-3, 600, 48, True, id="wide-memo"),
+])
+def test_training_matches_reference_loop_bit_for_bit(
+    instance, rho, eta, iterations, seed, projects
+):
+    """Chunked recording, the step memo and the norm bound change no bit of
+    the run.
 
     Each run spans more than one chunk of steps and ends inside a chunk.
     The wide instance has more state-action pairs than a chunk has steps,
-    so its losses are evaluated one iterate at a time.
+    so its losses are evaluated one iterate at a time.  The runs marked
+    `projects` take projected and unprojected steps, so the norm bound is
+    compared on either side of rho.
     """
-    if instance == "gridworld":
-        phi, basis, mdp, target, constants, lam = _gridworld_setup()
-        # a radius the iterates reach, so that projected steps are compared
-        cfg = SgdConfig(rho=0.5, lam=lam, eta=2e-4, iterations=9_000, seed=41)
-    elif instance == "wide":
-        mdp = make_random_mdp(80, 4, 0.9, seed=44)
-        phi = build_feature_matrix(mdp, 6, seed=45)
-        basis = state_action_indicator_basis(mdp)
-        target = basis.psi.T @ occupancy_of_policy(mdp, deterministic_policy(
-            mdp, np.zeros(mdp.n_states, dtype=int))).mass
-        lam = 3.0
-        constants = sampling_constants(phi, mdp, basis, lam)
-        cfg = SgdConfig(rho=0.5, lam=lam, eta=1e-3, iterations=500, seed=46)
-    else:
-        target, constants = _chain_setup()
-        phi, basis, mdp, lam = CHAIN_PHI, CHAIN_BASIS, CHAIN, 5.0
-        cfg = SgdConfig(rho=2.1, lam=lam, eta=2e-3, iterations=9_000, seed=42)
+    phi, basis, mdp, target, constants, lam = _SETUPS[instance]()
+    cfg = SgdConfig(rho=rho, lam=lam, eta=eta, iterations=iterations, seed=seed)
     trace, policy = run_sgd_al(cfg, phi, basis, mdp, target, constants)
-    cols, theta_avg, first, (pair, state) = _reference_sgd(
+    cols, theta_avg, first, (pair, state), projected = _reference_sgd(
         cfg, phi, basis, mdp, target, constants
     )
+    if projects:
+        assert 0 < projected < cfg.iterations
     assert np.array_equal(trace.loss_total, cols["total"])
     assert np.array_equal(trace.loss_objective, cols["objective"])
     assert np.array_equal(trace.v1, cols["v1"])
@@ -432,111 +441,8 @@ def test_training_matches_reference_loop_bit_for_bit(instance):
     assert np.array_equal(policy.probs, expected_policy.probs)
     # the public estimator is the loop's estimator
     estimator = SubgradientEstimator(phi, basis, mdp, target, constants)
-    g = estimator.estimate(np.zeros(phi_arr.shape[1]), (pair,), (state,))
+    g = estimator.estimate(np.zeros(phi_arr.shape[1]), pair, state)
     assert np.array_equal(g, first)
-
-
-def _wide_setup():
-    mdp = make_random_mdp(80, 4, 0.9, seed=44)
-    phi = build_feature_matrix(mdp, 6, seed=45)
-    basis = state_action_indicator_basis(mdp)
-    target = basis.psi.T @ occupancy_of_policy(mdp, deterministic_policy(
-        mdp, np.zeros(mdp.n_states, dtype=int))).mass
-    lam = 3.0
-    return phi, basis, mdp, target, sampling_constants(phi, mdp, basis, lam), lam
-
-
-def _batched_reference(config, phi, basis, mdp, target, constants):
-    """The training loop without the step memo or the norm bound.
-
-    Every step forms its estimate from the estimator's rows with the
-    branches written out, as the estimator did before it kept sign keys,
-    forms theta . theta and adds theta to the running sum; losses are
-    recorded per chunk from a fixed buffer.  Returns the trace columns,
-    theta_avg, the policy and the number of projected steps.
-    """
-    phi_arr = np.asarray(phi.phi if hasattr(phi, "phi") else phi)
-    n_pairs, dim = phi_arr.shape
-    lam, eta, rho = config.lam, config.eta, config.rho
-    batch, T = config.batch_size, config.iterations
-    kernel = SubgradientEstimator(phi_arr, basis, mdp, target, constants, batch)
-
-    def estimate(theta, pairs, states):
-        g = kernel.a_t.dot(np.sign(kernel.a_mat.dot(theta) - kernel.target))
-        for y in states:
-            r = float(kernel.flow_rows[y].dot(theta)) - kernel.nu0_list[y]
-            if r > 0.0:
-                g += kernel.t2_rows[y]
-            elif r < 0.0:
-                g -= kernel.t2_rows[y]
-        for xa in pairs:
-            if float(kernel.phi_rows[xa].dot(theta)) < 0.0:
-                g -= kernel.t3_rows[xa]
-        return g
-
-    cum1, cum2 = np.cumsum(constants.q1), np.cumsum(constants.q2)
-    chunk = max(1, sgd._CHUNK_ELEMENTS // n_pairs)
-    theta, theta_sum = np.zeros(dim), np.zeros(dim)
-    iterates = np.empty((min(chunk, T), dim))
-    cols = {name: np.empty(T) for name in ("total", "objective", "v1", "v2", "grad_norm")}
-    projected = 0
-    rng = np.random.default_rng(config.seed)
-    for start in range(0, T, chunk):
-        stop = min(start + chunk, T)
-        block = stop - start
-        draws = rng.random((block, 2 * batch))
-        pair_idx = np.minimum(
-            np.searchsorted(cum1, draws[:, :batch], side="right"), n_pairs - 1
-        ).tolist()
-        state_idx = np.minimum(
-            np.searchsorted(cum2, draws[:, batch:], side="right"), mdp.n_states - 1
-        ).tolist()
-        for i in range(block):
-            g = estimate(theta, pair_idx[i], state_idx[i])
-            cols["grad_norm"][start + i] = math.sqrt(g.dot(g))
-            theta = theta - eta * g
-            nrm_sq = theta.dot(theta)
-            if nrm_sq > rho * rho:
-                theta = theta * (rho / math.sqrt(nrm_sq))
-                projected += 1
-            theta_sum += theta
-            iterates[i] = theta
-        obj, v1, v2 = kernel.losses(iterates[:block])
-        cols["objective"][start:stop] = obj
-        cols["v1"][start:stop] = v1
-        cols["v2"][start:stop] = v2
-        cols["total"][start:stop] = obj + lam * (v1 + v2)
-    theta_avg = theta_sum / T
-    return cols, theta_avg, policy_from_vector(phi_arr @ theta_avg, mdp), projected
-
-
-@pytest.mark.parametrize("instance", ["gridworld", "wide"])
-def test_memoised_steps_match_the_batched_loop_bit_for_bit(instance):
-    """The step memo and the norm bound change no bit of a batched run.
-
-    Both runs span more than one chunk, and both take projected and
-    unprojected steps, so the bound is compared on either side of rho.
-    """
-    if instance == "gridworld":
-        phi, basis, mdp, target, constants, lam = _gridworld_setup()
-        cfg = SgdConfig(rho=0.5, lam=lam, eta=2e-4, iterations=6_000, seed=47,
-                        batch_size=3)
-    else:
-        phi, basis, mdp, target, constants, lam = _wide_setup()
-        cfg = SgdConfig(rho=0.1, lam=lam, eta=3e-3, iterations=600, seed=48,
-                        batch_size=3)
-    trace, policy = run_sgd_al(cfg, phi, basis, mdp, target, constants)
-    cols, theta_avg, expected_policy, projected = _batched_reference(
-        cfg, phi, basis, mdp, target, constants
-    )
-    assert 0 < projected < cfg.iterations
-    assert np.array_equal(trace.loss_total, cols["total"])
-    assert np.array_equal(trace.loss_objective, cols["objective"])
-    assert np.array_equal(trace.v1, cols["v1"])
-    assert np.array_equal(trace.v2, cols["v2"])
-    assert np.array_equal(trace.grad_norm, cols["grad_norm"])
-    assert np.array_equal(trace.theta_avg, theta_avg)
-    assert np.array_equal(policy.probs, expected_policy.probs)
 
 
 def test_step_memo_stays_at_its_cap(monkeypatch):
@@ -645,8 +551,6 @@ def test_config_validation():
         SgdConfig(rho=1.0, lam=1.0, eta=0.0, iterations=10, seed=0)
     with pytest.raises(ValueError):
         SgdConfig(rho=1.0, lam=1.0, eta=0.1, iterations=0, seed=0)
-    with pytest.raises(ValueError):
-        SgdConfig(rho=1.0, lam=1.0, eta=0.1, iterations=10, seed=0, batch_size=0)
     for nan_field in ("rho", "lam", "eta"):
         fields = dict(rho=1.0, lam=1.0, eta=0.1, iterations=10, seed=0)
         fields[nan_field] = math.nan
