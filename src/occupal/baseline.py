@@ -52,6 +52,7 @@ _DEGENERATE_RUN = 32  # degenerate Dantzig pivots in a row before Bland's rule
 _TOL = 1e-9
 _HARRIS_TOL = 1e-11  # infeasibility the ratio test may accept for a larger pivot
 _SMALL_PIVOT = 1e-6  # relative to the column's largest entry
+_POLICY_ITERATION_ROUNDS = 64
 
 
 def _certifies(objective, lower_bound):
@@ -301,13 +302,15 @@ def _optimal_occupancy_for_cost(mdp, cost):
     Policy iteration on the deterministic policies: evaluate exactly by
     linear solve, improve greedily, stop when no action improves by more
     than solver round-off.  Finite and independent of the simplex code.
-    Returns (actions, measure) of the final deterministic policy.
+    Returns (actions, measure) of the final deterministic policy.  Raises
+    RuntimeError if the policy still improves after _POLICY_ITERATION_ROUNDS
+    rounds: an unconverged policy's w . (Psi^T mu - target) bounds nothing.
     """
     cost = np.asarray(cost, dtype=float)
     policy, _ = value_iteration(mdp, cost, tolerance=1e-12)
     actions = policy.probs.argmax(axis=1)
     idx = np.arange(mdp.n_states)
-    for _ in range(64):
+    for _ in range(_POLICY_ITERATION_ROUNDS):
         p_pi = state_transition_matrix(mdp, deterministic_policy(mdp, actions))
         c_pi = cost.reshape(mdp.n_states, mdp.n_actions)[idx, actions]
         values = np.linalg.solve(
@@ -322,6 +325,11 @@ def _optimal_occupancy_for_cost(mdp, cost):
         if np.array_equal(improved, actions):
             break
         actions = improved
+    else:
+        raise RuntimeError(
+            f"policy iteration still improving after {_POLICY_ITERATION_ROUNDS} "
+            f"rounds on a cost of {cost.size} entries"
+        )
     return actions, occupancy_of_policy(mdp, deterministic_policy(mdp, actions))
 
 

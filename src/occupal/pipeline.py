@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -136,13 +137,13 @@ class ExperimentConfig:
     expert:      {"vi_tolerance": float, "m": int, "horizon": int | None}
     sgd:         {"rho", "lam", "eta", "iterations"}
                  | {"epsilon", "delta", "rho"} (hyperparameters are then
-                 derived from the accuracy pair)
+                 derived from the accuracy pair; the two forms do not mix)
 
     A key that no kind of its section reads, or a top-level key other than
     these sections, out_dir and master_seed, raises ValueError.  The count
     fields above and master_seed must be Python or numpy integers (not
-    bools), the real-valued fields integers or floats (not bools), and a
-    file spec's path a string; anything else raises ValueError.
+    bools), the real-valued fields integers or floats (not bools), and
+    out_dir and a file spec's path strings; anything else raises ValueError.
     """
 
     environment: dict
@@ -179,11 +180,15 @@ class ExperimentConfig:
             features=dict(blob["features"]),
             expert=dict(blob["expert"]),
             sgd=dict(blob["sgd"]),
-            out_dir=str(blob["out_dir"]),
+            out_dir=blob["out_dir"],
             master_seed=blob["master_seed"],
         )
 
     def __post_init__(self):
+        if not isinstance(self.out_dir, str):
+            raise ValueError(
+                f"config field 'out_dir' must be a string, got {self.out_dir!r}"
+            )
         if not _is_a(self.master_seed, _INTEGER):
             raise ValueError(
                 f"config field 'master_seed' must be an integer, got {self.master_seed!r}"
@@ -268,7 +273,8 @@ def _build_basis(spec, mdp):
 
 
 def _build_features(spec, mdp, seed):
-    if spec.get("kind") == "file":
+    kind = spec.get("kind")
+    if kind == "file":
         _require(spec, "features", "path")
         path = spec["path"]
         try:
@@ -283,6 +289,8 @@ def _build_features(spec, mdp, seed):
                 f"with d >= 1, got shape {phi.shape}"
             )
         return features
+    if kind is not None:
+        raise ValueError(f"unknown features kind {kind!r}")
     _require(spec, "features", "d")
     return build_feature_matrix(
         mdp, int(spec["d"]), seed=seed, beta=float(spec.get("beta", 1.0e-3))
@@ -294,9 +302,16 @@ def resolve_sgd(spec, seed, phi, basis, mdp):
 
     Returns (config, constants, sample size): the sample size is the
     schedule's required number of expert trajectories, None for explicit
-    hyperparameters.
+    hyperparameters.  A spec that mixes the two forms raises ValueError.
     """
-    if "epsilon" in spec and "eta" not in spec:
+    explicit = [key for key in ("lam", "eta", "iterations") if key in spec]
+    derived = [key for key in ("epsilon", "delta") if key in spec]
+    if explicit and derived:
+        raise ValueError(
+            f"sgd fields {derived} cannot be combined with {explicit}: give "
+            "rho, lam, eta and iterations, or epsilon, delta and rho"
+        )
+    if derived:
         _require(spec, "sgd", "epsilon", "delta", "rho")
         epsilon = float(spec["epsilon"])
         delta = float(spec["delta"])
@@ -328,10 +343,45 @@ def resolve_sgd(spec, seed, phi, basis, mdp):
     return config, constants, None
 
 
+# json.dump with an indent always runs CPython's pure-Python encoder; only
+# a one-shot encode without indent runs the C encoder, several times faster
+# on the long float lists of mdp.json.  _dump_json writes the text of
+# json.dump(blob, fh, sort_keys=True, indent=1) from C-encoded pieces.
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
+def _indented_json(value, indent, out):
+    """Append to `out` the text json.dump(..., indent=1) gives `value` at
+    nesting `indent`.  A dict key that is not a string raises TypeError."""
+    inner = indent + " "
+    if isinstance(value, (list, tuple)):
+        text = _ENCODE(value)
+        if text.count("[") == 1 and "{" not in text and '"' not in text:
+            # Scalars only, so every ", " in the text separates two items.
+            items = text[1:-1].replace(", ", ",\n" + inner)
+            out.append(f"[\n{inner}{items}\n{indent}]" if items else "[]")
+            return
+        brackets, entries = "[]", [("", item) for item in value]
+    elif isinstance(value, dict) and value:
+        brackets = "{}"
+        entries = [(encode_basestring_ascii(key) + ": ", value[key]) for key in sorted(value)]
+    else:
+        out.append(_ENCODE(value))
+        return
+    separator = brackets[0] + "\n" + inner
+    for prefix, item in entries:
+        out.append(separator + prefix)
+        _indented_json(item, inner, out)
+        separator = ",\n" + inner
+    out.append("\n" + indent + brackets[1])
+
+
 def _dump_json(path, blob):
+    out = []
+    _indented_json(blob, "", out)
+    out.append("\n")
     with open(path, "w") as fh:
-        json.dump(blob, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.writelines(out)
 
 
 # Rows formatted per block: Python objects for all 50k rows of a run at

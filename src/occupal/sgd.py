@@ -290,19 +290,11 @@ def _row_products(iterates, m):
     """(n, rows of m) array whose row i equals m @ iterates[i] bit for bit.
 
     A single iterates @ m.T (gemm) rounds differently from the per-iterate
-    product.  One matrix-vector product per row of m, iterates @ m[j], does
-    not, and takes fewer calls when m has fewer rows than there are
-    iterates; otherwise each iterate gets its own m @ iterates[i].  The
+    product.  The stacked matmul of m with each iterate as a column makes
+    one matrix-vector call per item, the call m @ iterates[i] makes.  The
     result is C-contiguous, so sums along axis 1 add in the per-vector order.
     """
-    out = np.empty((iterates.shape[0], m.shape[0]))
-    if m.shape[0] < iterates.shape[0]:
-        for j, row in enumerate(m):
-            out[:, j] = iterates @ row
-    else:
-        for i, theta in enumerate(iterates):
-            out[i] = m @ theta
-    return out
+    return np.matmul(m, iterates[:, :, None])[:, :, 0]
 
 
 # Bound on steps per chunk times state-action pairs, the size of the

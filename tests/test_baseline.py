@@ -269,6 +269,30 @@ def test_subgradient_solver_on_known_instance():
     assert sub.objective == pytest.approx(0.7, abs=1e-6)
 
 
+def test_pricing_raises_when_policy_iteration_hits_its_cap(monkeypatch):
+    """An unconverged pricing policy would give a lower bound that need not
+    hold, so running out of rounds must fail, not certify."""
+    mdp, cost = make_gridworld(4, 4, 0.9, 0.1)
+    basis = region_indicator_basis(mdp, 4)
+    target = feature_expectation(
+        occupancy_of_policy(mdp, value_iteration(mdp, cost)[0]), basis
+    )
+
+    def worst_start(mdp, cost, tolerance):
+        # the greedy policy of the negated cost: the poorest deterministic start
+        return value_iteration(mdp, -np.asarray(cost), tolerance)
+
+    monkeypatch.setattr(baseline, "value_iteration", worst_start)
+    # from the poor start, the default cap still converges
+    actions, _ = baseline._optimal_occupancy_for_cost(mdp, cost)
+    assert np.array_equal(actions, value_iteration(mdp, cost)[0].probs.argmax(axis=1))
+    monkeypatch.setattr(baseline, "_POLICY_ITERATION_ROUNDS", 1)
+    with pytest.raises(RuntimeError, match=f"after 1 rounds on a cost of {mdp.n_pairs} entries"):
+        baseline._optimal_occupancy_for_cost(mdp, cost)
+    with pytest.raises(RuntimeError, match="policy iteration still improving"):
+        subgradient_solve(mdp, basis, target)
+
+
 def test_subgradient_solver_on_dense_bases():
     # dense bases can put the optimum strictly inside a kink face that no
     # deterministic policy touches; a mixture of policies must reach it

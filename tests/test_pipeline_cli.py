@@ -1,15 +1,17 @@
 """End-to-end pipeline runs and the command-line front end.
 
 run_experiment must write all nine artifacts, be byte-reproducible from
-(config, master seed) alone, name the failing stage and clean up after
-itself on errors, and record the derived hyperparameters exactly when the
-config gives an accuracy pair instead of explicit settings, together with
-whether the expert batch meets the pair's sample size.  The CLI must
-expose every stage as a stateless subcommand whose outputs match a full
-run, remove only its own files when a stage fails, reject a malformed
-theta file, feature file, basis file, config shape or value-iteration
-tolerance, fail `verify` when a property misses its tolerance, and report
-validation failures and internal errors through its exit code.
+(config, master seed) alone, write its JSON files with the text json.dump
+gives, name the failing stage and clean up after itself on errors, and
+record the derived hyperparameters exactly when the config gives an
+accuracy pair instead of explicit settings, together with whether the
+expert batch meets the pair's sample size.  The CLI must expose every
+stage as a stateless subcommand whose outputs match a full run, remove
+only its own files when a stage fails, reject a malformed theta file,
+feature file, basis file, config shape, unknown kind, out_dir, mix of
+explicit and derived hyperparameters or value-iteration tolerance, fail
+`verify` when a property misses its tolerance, and report validation
+failures and internal errors through its exit code.
 """
 
 import hashlib
@@ -30,8 +32,10 @@ from occupal import (
     sampling_constants,
 )
 from occupal.cli import main
+from occupal import pipeline
 from occupal.pipeline import (
     ARTIFACT_NAMES,
+    STAGES,
     ExperimentConfig,
     PipelineError,
     _write_trace_csv,
@@ -230,6 +234,53 @@ def test_trace_csv_matches_the_row_writer_byte_for_byte(tmp_path):
     _write_trace_csv(tmp_path / "new.csv", trace, 7, 11)
     _reference_trace_csv(tmp_path / "ref.csv", trace, 7, 11)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def _reference_dump_json(path, blob):
+    with open(path, "w") as fh:
+        json.dump(blob, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+# The README's CLI quick-start config, but for its out_dir.
+README_4X4 = {
+    "environment": {"kind": "gridworld", "width": 4, "height": 4,
+                    "discount": 0.9, "slip_prob": 0.1},
+    "basis": {"kind": "region-indicator", "n_blocks": 4},
+    "features": {"d": 6},
+    "expert": {"m": 2000},
+    "sgd": {"rho": 2.0, "lam": 10.0, "eta": 2e-05, "iterations": 50000},
+    "master_seed": 7,
+}
+
+
+def test_json_writer_matches_json_dump_byte_for_byte(tmp_path, monkeypatch):
+    """Every blob two runs write, and the corners of the JSON grammar."""
+    blobs = [
+        {}, [], [[]], [{}], {"": {}}, [[], [1]],
+        [[1, 2], [3], [[4.5, [None]], 6]],  # nested and ragged
+        [1, -2, 2.5, True, False, None, 10**30],
+        [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324],
+        ["a, b", "c"], ["a, b", "[", '"', "{", "x\\y, [1, 2]"],
+        {"\u00e9t\u00e9": "\u65e5\u672c", "k": ["\u00fc", 1.0]},
+        (1, (2.0, (None,)), [3], ()),
+        {"z": [{"b": [1, 2]}, 3], "a": {"y": (), "x": "[1, 2]"}},
+        7, -0.0, "text", None,
+    ]
+    written = []
+    monkeypatch.setattr(pipeline, "_dump_json", lambda path, blob: written.append(blob))
+    names = [name for name in ARTIFACT_NAMES if name.endswith(".json")]
+    for config in (chain_config(tmp_path / "chain"),
+                   dict(README_4X4, out_dir=str(tmp_path / "readme"))):
+        run_stages(ExperimentConfig.from_json(config), [s for s, _, _ in STAGES], names)
+    assert len(written) == 2 * len(names)
+    monkeypatch.undo()
+    for i, blob in enumerate(blobs + written):
+        _reference_dump_json(tmp_path / "ref.json", blob)
+        pipeline._dump_json(tmp_path / "new.json", blob)
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes(), i
+    with pytest.raises(TypeError):
+        pipeline._dump_json(tmp_path / "new.json", {1: 2})
 
 
 def test_stage_seed_derivation():
@@ -450,6 +501,51 @@ def test_cli_validation_exit_codes(tmp_path):
     bad_file = chain_config(tmp_path / "z")
     bad_file["basis"] = {"kind": "file", "path": str(tmp_path / "nope.npz")}
     assert main(["run", "--config", write_config(tmp_path, bad_file, "file.json")]) == 1
+
+
+@pytest.mark.parametrize("section, spec", [
+    ("basis", {"kind": "fle", "path": "/absent/psi.json"}),
+    ("features", {"kind": "fle", "path": "/absent/phi.json", "d": 2}),
+], ids=["basis", "features"])
+def test_cli_rejects_an_unknown_kind(tmp_path, capsys, section, spec):
+    """A misspelt kind fails its stage; it must not fall back to another kind."""
+    out = tmp_path / "run"
+    blob = chain_config(out, **{section: spec})
+    kind = spec["kind"]
+    assert main(["run", "--config", write_config(tmp_path, blob)]) == 1
+    err = capsys.readouterr().err
+    assert f"stage '{section}' failed: unknown {section} kind {kind!r}" in err
+    assert not any((out / name).exists() for name in ARTIFACT_NAMES)
+
+
+@pytest.mark.parametrize("out_dir", [None, 3])
+def test_cli_rejects_an_out_dir_that_is_not_a_string(tmp_path, capsys, monkeypatch, out_dir):
+    """str() would turn null into a directory named None."""
+    monkeypatch.chdir(tmp_path)
+    blob = dict(chain_config("unused"), out_dir=out_dir)
+    with pytest.raises(ValueError, match="config field 'out_dir' must be a string"):
+        ExperimentConfig.from_json(blob)
+    assert main(["run", "--config", write_config(tmp_path, blob)]) == 1
+    assert "config field 'out_dir' must be a string" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+@pytest.mark.parametrize("sgd, derived, explicit", [
+    ({"rho": 2.0, "lam": 5.0, "eta": 0.01, "iterations": 100, "epsilon": 0.5,
+      "delta": 0.5}, ["epsilon", "delta"], ["lam", "eta", "iterations"]),
+    ({"rho": 2.0, "lam": 5.0, "eta": 0.01, "iterations": 100, "delta": 0.5},
+     ["delta"], ["lam", "eta", "iterations"]),
+    ({"epsilon": 0.5, "delta": 0.5, "rho": 2.0, "eta": 0.01},
+     ["epsilon", "delta"], ["eta"]),
+], ids=["explicit-with-pair", "explicit-with-delta", "pair-with-eta"])
+def test_cli_rejects_explicit_and_derived_sgd_fields_together(
+    tmp_path, capsys, sgd, derived, explicit
+):
+    """Either form alone runs; given together, one would be dropped without a word."""
+    blob = chain_config(tmp_path / "run", sgd=sgd)
+    assert main(["run", "--config", write_config(tmp_path, blob)]) == 1
+    assert f"sgd fields {derived} cannot be combined with {explicit}" in capsys.readouterr().err
+    assert not any((tmp_path / "run" / name).exists() for name in ARTIFACT_NAMES)
 
 
 @pytest.mark.parametrize("field", [

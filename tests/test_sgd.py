@@ -445,6 +445,27 @@ def test_training_matches_reference_loop_bit_for_bit(
     assert np.array_equal(g, first)
 
 
+@pytest.mark.parametrize("width, n", [(4, 10), (10, 163)])
+def test_row_products_match_per_iterate_products_bit_for_bit(width, n):
+    """Row i of the stacked product is m @ iterates[i], bit for bit, for the
+    loss matrices with fewer rows than there are iterates and with more."""
+    mdp, _ = make_gridworld(width, width, 0.9, 0.1)
+    basis = region_indicator_basis(mdp, 4)
+    phi = build_feature_matrix(mdp, 6, seed=width)
+    estimator = SubgradientEstimator(
+        phi, basis, mdp, np.zeros(4), sampling_constants(phi, mdp, basis, 10.0)
+    )
+    # a slice of a buffer, as the training loop passes its chunk's iterates
+    iterates = np.random.default_rng(n).normal(size=(n + 1, 6))[1:]
+    fewer_rows = set()
+    for m in (estimator.a_mat, estimator.flow, estimator.phi):
+        out = sgd._row_products(iterates, m)
+        assert out.flags.c_contiguous
+        assert out.tobytes() == np.stack([m @ theta for theta in iterates]).tobytes()
+        fewer_rows.add(m.shape[0] < n)
+    assert fewer_rows == {True, False}
+
+
 def test_step_memo_stays_at_its_cap(monkeypatch):
     """Keys that rarely repeat fill the memo to its cap and no further.
 
