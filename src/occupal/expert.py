@@ -187,20 +187,18 @@ def empirical_feature_expectation(trajectories, basis, discount, n_actions):
 # ---------------------------------------------------------------------------
 # persistence: one trajectory per line, space-separated "state:action" tokens
 
-# The loader reads a file in blocks of whole lines and classifies its bytes.
-# Class order matters: every class above _EOL needs the slower edge and
-# comment pass.  \v and \f are whitespace that bytes.strip removes at a
-# line's ends but that may not separate tokens.
-_DIGIT, _COLON, _BLANK, _EOL, _EDGE, _HASH, _OTHER = range(7)
+# The loader reads each byte of a block of rows as its class.  A digit's
+# class is its value, so classes below _COLON are digits; inside a stripped
+# row, a byte that is not a digit, a colon, a space or a tab is _OTHER.
+_COLON, _BLANK, _EOL, _OTHER = range(10, 14)
 _CLASS_OF = {
-    **dict.fromkeys(b"0123456789", _DIGIT),
+    **{ord(str(value)): value for value in range(10)},
     **dict.fromkeys(b" \t", _BLANK),
-    **dict.fromkeys(b"\n\r", _EOL),
-    **dict.fromkeys(b"\v\f", _EDGE),
+    ord("\n"): _EOL,
     ord(":"): _COLON,
-    ord("#"): _HASH,
 }
 _BYTE_CLASSES = bytes(_CLASS_OF.get(byte, _OTHER) for byte in range(256))
+_COMMENT = ord("#")
 # The temporaries of a block take about 25 bytes per byte of the block, so
 # each stays under 128 KB.  On a 4.4 MB file, 32 KB and 64 KB blocks were
 # 10% faster but raised the process's peak resident set by 2-3 MB, and so
@@ -241,68 +239,58 @@ def save_trajectories(path, trajectories, header=None):
 def load_trajectories(path):
     """Read a file written by save_trajectories into an (m, H, 2) int64 array.
 
-    Accepted: lines of nonnegative decimal `state:action` tokens (at most 18
-    digits each) separated by spaces or tabs, all lines with the same number
-    of tokens; blank lines and lines starting with `#` are skipped, and
-    leading or trailing whitespace and `\\r\\n` line ends are ignored.
-    Raises ValueError for a file with no trajectory, a malformed token or
-    lines of different lengths; a malformed token is reported with the
-    number of its trajectory line (comments and blank lines not counted).
+    The file's rows are its lines (split at \\n, \\r or \\r\\n) with the
+    whitespace at their ends stripped; empty rows and rows starting with `#`
+    are skipped.  Every other row must hold nonnegative decimal
+    `state:action` tokens (at most 18 digits each) separated by spaces or
+    tabs, and all rows the same number of tokens.  Raises ValueError for a
+    file with no row, a malformed row, reported by its number among the
+    kept rows, or rows of different lengths.
 
-    The file is checked and parsed in numpy, in blocks of whole lines of
+    The rows are checked and parsed in numpy, in blocks of whole rows of
     about 16 KB, so that the temporary arrays stay small next to the result.
     """
     with open(path, "rb") as fh:
         text = fh.read()
-    raw = np.frombuffer(text, dtype=np.uint8)
-    classes = np.frombuffer(text.translate(_BYTE_CLASSES), dtype=np.uint8)
-    # Ends of line, with one before the first byte and one after the last,
-    # so that every line, the last included, lies between two.
-    ends = np.concatenate([[-1], np.flatnonzero(classes == _EOL), [raw.size]])
-
+    rows = [row for row in map(bytes.strip, text.splitlines()) if row and row[0] != _COMMENT]
+    if not rows:
+        raise ValueError(f"no trajectories in {path}")
     # Each token holds one colon, so twice the colons bound the indices.
     values = np.empty(2 * text.count(b":"), dtype=np.int64)
-    n_values = n_rows = 0
+    n_values = 0
     lengths = set()
-    # Each block ends at the first end of line past a multiple of
-    # _BLOCK_BYTES, so it holds whole lines and about that many bytes.
-    marks = np.arange(_BLOCK_BYTES, raw.size, _BLOCK_BYTES)
-    bounds = sorted({0, *np.searchsorted(ends, marks).tolist(), ends.size - 1})
+    # A block holds the rows that end in the same _BLOCK_BYTES of the rows
+    # joined by b"\n": whole rows, and about that many bytes.
+    ends = np.cumsum(np.fromiter(map(len, rows), np.int64, len(rows)) + 1)
+    bounds = [0, *(np.flatnonzero(np.diff(ends // _BLOCK_BYTES)) + 1).tolist(), len(rows)]
     for first, last in zip(bounds[:-1], bounds[1:]):
-        lo, hi = ends[first], ends[last]
-        block = np.empty(hi - lo + 1, dtype=np.uint8)
-        block[0] = block[-1] = _EOL
-        block[1:-1] = classes[lo + 1 : hi]
-        numbers, tokens = _parse_block(raw, lo, block, ends[first : last + 1] - lo, n_rows, path)
+        numbers, tokens = _parse_block(rows[first:last], first, path)
         values[n_values : n_values + numbers.size] = numbers
         n_values += numbers.size
-        n_rows += tokens.size
         lengths.update(tokens.tolist())
-    if n_rows == 0:
-        raise ValueError(f"no trajectories in {path}")
+    # Checked after every block, so that a malformed row is reported first.
     if len(lengths) != 1:
         raise ValueError(f"mixed trajectory lengths {sorted(lengths)} in {path}")
-    return values[:n_values].reshape(n_rows, -1, 2)
+    return values[:n_values].reshape(len(rows), -1, 2)
 
 
-def _parse_block(raw, offset, block, eols, rows_before, path):
-    """Check and parse one block of lines.
+def _parse_block(rows, rows_before, path):
+    """Check and parse a block of stripped, nonempty rows.
 
-    `block` holds the classes of raw[offset + 1 : offset + len(block) - 1]
-    between two end-of-line marks, and `eols` the positions of its ends of
-    line, those two included.  Once comments and edge whitespace are
-    blanked, a line is valid if it holds only digits, colons and blanks;
-    every colon sits between two digits; every digit run has at most 18
-    digits; and the bytes after the digit runs alternate colon, not colon.
-    That is the grammar `D:D([ \\t]+D:D)*` with D = [0-9]{1,18}.  Valid
-    lines hold an even number of runs, so the alternation restarts at each
-    line after them and the first line that breaks a rule is the first
-    malformed line.  Returns the block's indices and its number of tokens
-    per trajectory.
+    The block is the rows joined by b"\\n", with one more before the first
+    and after the last.  A row is valid if it holds only digits, colons and
+    blanks; every colon sits between two digits; every digit run has at
+    most 18 digits; and the bytes after the digit runs alternate colon, not
+    colon.  That is the grammar `D:D([ \\t]+D:D)*` with D = [0-9]{1,18}.
+    Valid rows hold an even number of runs, so the alternation restarts at
+    each row after them and the first row that breaks a rule is the first
+    malformed row.  Returns the block's indices and each row's number of
+    tokens.
     """
-    if block.max() > _EOL:
-        _mark_edges_and_comments(raw, offset, block, eols)
-    edges = np.flatnonzero(np.diff(block == _DIGIT))
+    text = b"\n".join([b"", *rows, b""])
+    block = np.frombuffer(text.translate(_BYTE_CLASSES), dtype=np.uint8)
+    eols = np.flatnonzero(block == _EOL)
+    edges = np.flatnonzero(np.diff(block < _COLON))
     edges += 1
     starts, stops = edges[0::2], edges[1::2]
     widths = stops - starts
@@ -311,50 +299,22 @@ def _parse_block(raw, offset, block, eols, rows_before, path):
     colons = np.flatnonzero(block == _COLON)
     bad = np.concatenate(
         [
-            np.flatnonzero(block > _EOL),
+            np.flatnonzero(block == _OTHER),
             starts[(widths > _MAX_DIGITS) | ~pairs],
-            colons[(block[colons - 1] != _DIGIT) | (block[colons + 1] != _DIGIT)],
+            colons[(block[colons - 1] >= _COLON) | (block[colons + 1] >= _COLON)],
         ]
     )
     if bad.size:
-        first = bad.min()
-        line = np.searchsorted(eols, first)
-        head = block[: eols[line - 1]]
-        solid = np.flatnonzero((head != _BLANK) & (head != _EOL))
-        number = rows_before + np.count_nonzero(np.bincount(np.searchsorted(eols, solid))) + 1
-        text = raw[offset + eols[line - 1] + 1 : offset + eols[line]].tobytes().strip()
-        raise ValueError(f"malformed trajectory {number} in {path}: {text[:60]!r}")
+        row = np.searchsorted(eols, bad.min()) - 1
+        raise ValueError(
+            f"malformed trajectory {rows_before + row + 1} in {path}: {rows[row][:60]!r}"
+        )
 
-    numbers = raw[offset + starts].astype(np.int64)
-    numbers -= 48
+    numbers = block[starts].astype(np.int64)
     for k in range(1, int(widths.max(initial=0))):
         longer = np.flatnonzero(widths > k)
-        numbers[longer] = numbers[longer] * 10 + (raw[offset + starts[longer] + k] - 48)
-    tokens = np.diff(np.searchsorted(colons, eols))
-    return numbers, tokens[tokens > 0]
-
-
-def _mark_edges_and_comments(raw, offset, block, eols):
-    """Blank out comment lines and edge whitespace, in place.
-
-    Only lines holding `#`, \\v or \\f need this.  bytes.strip decides
-    what a line keeps: a comment line keeps a first byte `#`, and a \\v or
-    \\f that it keeps is marked `other`.
-    """
-    marked = np.flatnonzero(block > _EOL)
-    for line in np.flatnonzero(np.bincount(np.searchsorted(eols, marked))).tolist():
-        lo, hi = eols[line - 1] + 1, eols[line]
-        text = raw[offset + lo : offset + hi].tobytes()
-        kept = text.strip()
-        if kept.startswith(b"#"):
-            block[lo:hi] = _BLANK
-            continue
-        head = lo + len(text) - len(text.lstrip())
-        tail = head + len(kept)
-        block[lo:head] = _BLANK
-        block[tail:hi] = _BLANK
-        inner = block[head:tail]
-        inner[inner == _EDGE] = _OTHER
+        numbers[longer] = numbers[longer] * 10 + block[starts[longer] + k]
+    return numbers, np.diff(np.searchsorted(colons, eols))
 
 
 def estimator_to_json(est):

@@ -21,16 +21,13 @@ __all__ = [
     "Mdp",
     "Policy",
     "OccupancyMeasure",
-    "sa_index",
     "validate_mdp",
     "uniform_policy",
     "deterministic_policy",
     "state_transition_matrix",
     "occupancy_of_policy",
     "truncated_series_occupancy",
-    "flow_defect",
     "flow_residual",
-    "expected_return",
     "value_iteration",
     "make_random_mdp",
     "make_gridworld",
@@ -43,7 +40,7 @@ __all__ = [
 ]
 
 
-def sa_index(state, action, n_actions):
+def _sa_index(state, action, n_actions):
     """Flat index of the state-action pair (state, action)."""
     return state * n_actions + action
 
@@ -187,7 +184,7 @@ def _state_marginal(mdp, u):
     return np.asarray(u).reshape(mdp.n_states, mdp.n_actions).sum(axis=1)
 
 
-def flow_defect(mdp, u):
+def _flow_defect(mdp, u):
     """Signed Bellman-flow defect (B - g P)^T u - nu0 of an arbitrary vector."""
     u = np.asarray(u, dtype=float)
     return (
@@ -206,14 +203,8 @@ def flow_residual(mdp, u):
     """
     u = np.asarray(u, dtype=float)
     negative_mass = float(-np.minimum(u, 0.0).sum())
-    flow_gap = float(np.abs(flow_defect(mdp, u)).sum())
+    flow_gap = float(np.abs(_flow_defect(mdp, u)).sum())
     return negative_mass, flow_gap
-
-
-def expected_return(mu, cost):
-    """Discounted expected cost <mu, c> of the policy inducing mu."""
-    vec = mu.mass if isinstance(mu, OccupancyMeasure) else np.asarray(mu)
-    return float(vec @ np.asarray(cost))
 
 
 _MAX_SWEEPS = 1_000_000
@@ -303,7 +294,7 @@ def make_gridworld(width, height, discount, slip_prob):
     for x in range(n_states):
         landings = [step(x, a) for a in range(n_actions)]
         for a in range(n_actions):
-            row = transition[sa_index(x, a, n_actions)]
+            row = transition[_sa_index(x, a, n_actions)]
             row[landings[a]] += 1.0 - slip_prob
             for other in landings:
                 row[other] += slip_prob / n_actions

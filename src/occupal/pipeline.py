@@ -100,20 +100,28 @@ def stage_seed(master_seed, stage):
     return _splitmix64((int(master_seed) ^ tag) & _MASK64)
 
 
-# The keys each section accepts, the union over the section's kinds, with
-# the types a key's value must have when present (None: checked where the
-# stage reads it).  A count must be an integer, any other number an integer
-# or a float; a bool is neither.  "horizon" may also be null.
+# The keys each kind of each section reads besides "kind", with the types a
+# key's value must have when present (None: checked where the stage reads
+# it).  A count must be an integer, any other number an integer or a float;
+# a bool is neither.  Generated features, the expert and sgd have one
+# unnamed kind, None; resolve_sgd tells sgd's two forms apart.
 _INTEGER, _REAL = (int, np.integer), (int, np.integer, float, np.floating)
 _SECTION_FIELDS = {
-    "environment": {"kind": None, "width": _INTEGER, "height": _INTEGER,
-                    "n_states": _INTEGER, "n_actions": _INTEGER,
-                    "discount": _REAL, "slip_prob": _REAL},
-    "basis": {"kind": None, "n_blocks": _INTEGER, "path": None},
-    "features": {"kind": None, "path": None, "d": _INTEGER, "beta": _REAL},
-    "expert": {"vi_tolerance": _REAL, "m": _INTEGER, "horizon": _INTEGER},
-    "sgd": {"rho": _REAL, "lam": _REAL, "eta": _REAL, "iterations": _INTEGER,
-            "epsilon": _REAL, "delta": _REAL},
+    "environment": {
+        "gridworld": {"width": _INTEGER, "height": _INTEGER, "discount": _REAL,
+                      "slip_prob": _REAL},
+        "random": {"n_states": _INTEGER, "n_actions": _INTEGER, "discount": _REAL},
+        "chain": {"discount": _REAL},
+    },
+    "basis": {
+        "state-action-indicator": {},
+        "region-indicator": {"n_blocks": _INTEGER},
+        "file": {"path": None},
+    },
+    "features": {None: {"d": _INTEGER}, "file": {"path": None}},
+    "expert": {None: {"m": _INTEGER}},
+    "sgd": {None: {"rho": _REAL, "lam": _REAL, "eta": _REAL, "iterations": _INTEGER,
+                   "epsilon": _REAL, "delta": _REAL}},
 }
 _CONFIG_FIELDS = (*_SECTION_FIELDS, "out_dir", "master_seed")
 
@@ -133,16 +141,17 @@ class ExperimentConfig:
     basis:       {"kind": "state-action-indicator"}
                  | {"kind": "region-indicator", n_blocks}
                  | {"kind": "file", path}
-    features:    {"d": int, "beta": float} | {"kind": "file", path}
-    expert:      {"vi_tolerance": float, "m": int, "horizon": int | None}
+    features:    {"d": int} | {"kind": "file", path}
+    expert:      {"m": int}
     sgd:         {"rho", "lam", "eta", "iterations"}
                  | {"epsilon", "delta", "rho"} (hyperparameters are then
                  derived from the accuracy pair; the two forms do not mix)
 
-    A key that no kind of its section reads, or a top-level key other than
-    these sections, out_dir and master_seed, raises ValueError.  The count
-    fields above and master_seed must be Python or numpy integers (not
-    bools), the real-valued fields integers or floats (not bools), and
+    A key that the spec's kind does not read, "kind" in a section without
+    named kinds, or a top-level key other than these sections, out_dir and
+    master_seed, raises ValueError; an unknown kind fails its own stage.
+    The count fields above and master_seed must be Python or numpy integers
+    (not bools), the real-valued fields integers or floats (not bools), and
     out_dir and a file spec's path strings; anything else raises ValueError.
     """
 
@@ -194,13 +203,23 @@ class ExperimentConfig:
                 f"config field 'master_seed' must be an integer, got {self.master_seed!r}"
             )
         object.__setattr__(self, "master_seed", int(self.master_seed))
-        for name, fields in _SECTION_FIELDS.items():
-            for key, value in getattr(self, name).items():
+        for name, kinds in _SECTION_FIELDS.items():
+            spec = getattr(self, name)
+            named = len(kinds) > 1
+            kind = spec.get("kind") if named else None
+            # Compared, not looked up: a JSON list as kind is unhashable.
+            fields = next((keys for known, keys in kinds.items() if known == kind), None)
+            if fields is None:
+                continue  # its stage rejects the unknown kind by name
+            for key, value in spec.items():
+                if key == "kind" and named:
+                    continue
                 if key not in fields:
-                    raise ValueError(f"{name} field {key!r} is not a config field")
-                kinds = fields[key]
-                if kinds and not _is_a(value, kinds) and (key, value) != ("horizon", None):
-                    what = "an integer" if kinds is _INTEGER else "a real number"
+                    of_kind = f" of {name} kind {kind!r}" if named else ""
+                    raise ValueError(f"{name} field {key!r} is not a config field{of_kind}")
+                types = fields[key]
+                if types and not _is_a(value, types):
+                    what = "an integer" if types is _INTEGER else "a real number"
                     raise ValueError(f"{name} field {key!r} must be {what}, got {value!r}")
         for name in ("basis", "features"):
             spec = getattr(self, name)
@@ -292,9 +311,7 @@ def _build_features(spec, mdp, seed):
     if kind is not None:
         raise ValueError(f"unknown features kind {kind!r}")
     _require(spec, "features", "d")
-    return build_feature_matrix(
-        mdp, int(spec["d"]), seed=seed, beta=float(spec.get("beta", 1.0e-3))
-    )
+    return build_feature_matrix(mdp, int(spec["d"]), seed=seed)
 
 
 def resolve_sgd(spec, seed, phi, basis, mdp):
@@ -434,11 +451,7 @@ def _environment(state):
 
 def _expert_policy(state):
     config = state["config"]
-    state["expert_policy"], _ = value_iteration(
-        state["mdp"],
-        state["cost"],
-        tolerance=float(config.expert.get("vi_tolerance", 1e-10)),
-    )
+    state["expert_policy"], _ = value_iteration(state["mdp"], state["cost"])
     blob = policy_to_json(state["expert_policy"])
     blob.update(master_seed=config.master_seed, stage_seed=None)
     _write(state, "expert_policy.json", _dump_json, blob)
@@ -458,12 +471,9 @@ def _expert_trajectories(state):
     config, seed = state["config"], state["seeds"]["expert-trajectories"]
     mdp = state["mdp"]
     _require(config.expert, "expert", "m")
-    horizon = config.expert.get("horizon")
-    if horizon is None:
-        horizon = default_horizon(mdp.discount)
     state["m"] = m = int(config.expert["m"])
     trajectories = sample_trajectories(
-        mdp, state["expert_policy"], m, int(horizon), seed
+        mdp, state["expert_policy"], m, default_horizon(mdp.discount), seed
     )
     _write(
         state,

@@ -25,7 +25,6 @@ from occupal import (
     make_random_mdp,
     occupancy_of_policy,
     region_indicator_basis,
-    sa_index,
     sampling_constants,
     save_basis,
     save_features,
@@ -33,6 +32,7 @@ from occupal import (
     uniform_policy,
     validate_basis,
 )
+from occupal.mdp import _sa_index
 
 CHAIN = make_chain(0.5)
 
@@ -87,7 +87,7 @@ def test_feature_expectation_zero_measure():
 
 def test_feature_expectation_chain_indicator():
     psi = np.zeros((4, 1))
-    psi[sa_index(0, 0, 2), 0] = 1.0
+    psi[_sa_index(0, 0, 2), 0] = 1.0
     stay = deterministic_policy(CHAIN, [0, 0])
     mu = occupancy_of_policy(CHAIN, stay)
     assert feature_expectation(mu, CostBasis(psi))[0] == pytest.approx(2.0, abs=1e-10)

@@ -23,8 +23,6 @@ from occupal import (
     Policy,
     chain_cost,
     deterministic_policy,
-    expected_return,
-    flow_defect,
     flow_residual,
     load_mdp,
     load_policy,
@@ -32,7 +30,6 @@ from occupal import (
     make_gridworld,
     make_random_mdp,
     occupancy_of_policy,
-    sa_index,
     sample_trajectories,
     state_transition_matrix,
     truncated_series_occupancy,
@@ -40,7 +37,7 @@ from occupal import (
     validate_mdp,
     value_iteration,
 )
-from occupal.mdp import mdp_to_json
+from occupal.mdp import _flow_defect, _sa_index, mdp_to_json
 from occupal.pipeline import STAGES, run_stages
 
 CHAIN = make_chain(0.5)
@@ -88,15 +85,15 @@ def test_discount_must_be_in_open_interval():
 def test_always_stay_occupancy():
     mu = occupancy_of_policy(CHAIN, STAY)
     expected = np.zeros(4)
-    expected[sa_index(0, 0, 2)] = 2.0
+    expected[_sa_index(0, 0, 2)] = 2.0
     assert np.abs(mu.mass - expected).max() < 1e-12
 
 
 def test_always_go_occupancy():
     mu = occupancy_of_policy(CHAIN, GO)
     expected = np.zeros(4)
-    expected[sa_index(0, 1, 2)] = 4.0 / 3.0
-    expected[sa_index(1, 1, 2)] = 2.0 / 3.0
+    expected[_sa_index(0, 1, 2)] = 4.0 / 3.0
+    expected[_sa_index(1, 1, 2)] = 2.0 / 3.0
     assert np.abs(mu.mass - expected).max() < 1e-12
 
 
@@ -124,7 +121,7 @@ def test_occupancy_satisfies_flow_constraints():
 
 def test_truncated_series_single_term():
     mu = truncated_series_occupancy(CHAIN, STAY, horizon=1)
-    assert mu.mass[sa_index(0, 0, 2)] == pytest.approx(1.0, abs=1e-15)
+    assert mu.mass[_sa_index(0, 0, 2)] == pytest.approx(1.0, abs=1e-15)
     assert mu.total() == pytest.approx(1.0, abs=1e-15)
 
 
@@ -192,7 +189,7 @@ def test_flow_residual_of_perturbed_occupancy():
     oracle = np.abs(flow_matrix @ bumped - mdp.initial_dist).sum()
     _, gap = flow_residual(mdp, bumped)
     assert gap == pytest.approx(oracle, abs=1e-12)
-    defect = flow_defect(mdp, bumped)
+    defect = _flow_defect(mdp, bumped)
     assert np.abs(defect - (flow_matrix @ bumped - mdp.initial_dist)).max() < 1e-12
 
 
@@ -202,19 +199,19 @@ def test_flow_residual_of_perturbed_occupancy():
 
 def test_expected_return_all_ones_cost():
     mu = occupancy_of_policy(CHAIN, GO)
-    assert expected_return(mu, np.ones(4)) == pytest.approx(2.0, abs=1e-10)
+    assert mu.mass @ np.ones(4) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_expected_return_zero_cost():
     mu = occupancy_of_policy(CHAIN, GO)
-    assert expected_return(mu, np.zeros(4)) == 0.0
+    assert mu.mass @ np.zeros(4) == 0.0
 
 
 def test_expected_return_indicator_cost():
     indicator = np.zeros(4)
-    indicator[sa_index(0, 0, 2)] = 1.0
+    indicator[_sa_index(0, 0, 2)] = 1.0
     mu = occupancy_of_policy(CHAIN, STAY)
-    assert expected_return(mu, indicator) == pytest.approx(2.0, abs=1e-10)
+    assert mu.mass @ indicator == pytest.approx(2.0, abs=1e-10)
 
 
 def test_expected_return_matches_monte_carlo():
@@ -230,7 +227,7 @@ def test_expected_return_matches_monte_carlo():
         probs = rng.exponential(1.0, (5, 3))
         policy = Policy(probs / probs.sum(axis=1, keepdims=True))
         cost = rng.uniform(0.0, 1.0, 15)
-        exact = expected_return(occupancy_of_policy(mdp, policy), cost)
+        exact = occupancy_of_policy(mdp, policy).mass @ cost
         batch = sample_trajectories(mdp, policy, 10_000, horizon, seed=200 + trial)
         flat = batch[:, :, 0] * 3 + batch[:, :, 1]
         weights = 0.7 ** np.arange(horizon)
@@ -302,7 +299,7 @@ def test_gridworld_slip_mass():
     mdp, _ = make_gridworld(3, 3, 0.9, 0.2)
     # from the center cell (state 4) all four moves reach distinct cells
     for action, landing in enumerate((1, 5, 7, 3)):
-        row = mdp.transition[sa_index(4, action, 4)]
+        row = mdp.transition[_sa_index(4, action, 4)]
         assert row[landing] == pytest.approx(0.85, abs=1e-12)
     assert validate_mdp(mdp) == []
 

@@ -8,10 +8,10 @@ accuracy pair instead of explicit settings, together with whether the
 expert batch meets the pair's sample size.  The CLI must expose every
 stage as a stateless subcommand whose outputs match a full run, remove
 only its own files when a stage fails, reject a malformed theta file,
-feature file, basis file, config shape, unknown kind, out_dir, mix of
-explicit and derived hyperparameters or value-iteration tolerance, fail
-`verify` when a property misses its tolerance, and report validation
-failures and internal errors through its exit code.
+feature file, basis file, config shape, unknown kind, key that only
+another kind reads, out_dir or mix of explicit and derived
+hyperparameters, fail `verify` when a property misses its tolerance, and
+report validation failures and internal errors through its exit code.
 """
 
 import hashlib
@@ -506,7 +506,8 @@ def test_cli_validation_exit_codes(tmp_path):
 @pytest.mark.parametrize("section, spec", [
     ("basis", {"kind": "fle", "path": "/absent/psi.json"}),
     ("features", {"kind": "fle", "path": "/absent/phi.json", "d": 2}),
-], ids=["basis", "features"])
+    ("environment", {"kind": ["chain"], "discount": 0.5}),
+], ids=["basis", "features", "environment-list"])
 def test_cli_rejects_an_unknown_kind(tmp_path, capsys, section, spec):
     """A misspelt kind fails its stage; it must not fall back to another kind."""
     out = tmp_path / "run"
@@ -579,7 +580,6 @@ def test_cli_rejects_a_file_path_that_is_not_a_string(tmp_path, capsys, section,
     ("environment", "width"),
     ("features", "d"),
     ("expert", "m"),
-    ("expert", "horizon"),
     ("sgd", "iterations"),
     (None, "master_seed"),
 ])
@@ -601,8 +601,6 @@ def test_cli_rejects_a_count_that_is_not_an_integer(tmp_path, capsys, section, k
 @pytest.mark.parametrize("section, key", [
     ("environment", "discount"),
     ("environment", "slip_prob"),
-    ("features", "beta"),
-    ("expert", "vi_tolerance"),
     ("sgd", "rho"),
     ("sgd", "lam"),
     ("sgd", "eta"),
@@ -625,6 +623,9 @@ def test_cli_rejects_a_real_field_that_is_not_a_number(tmp_path, capsys, section
     (None, "scheme", "uniform"),
     ("sgd", "batch_size", 4),
     ("sgd", "iterationz", 100),
+    ("expert", "horizon", 30),
+    ("expert", "vi_tolerance", 1e-10),
+    ("features", "beta", 1e-3),
 ])
 def test_cli_rejects_a_key_that_is_not_a_config_field(tmp_path, capsys, section, key, value):
     """A key that nothing reads would otherwise be ignored without a word."""
@@ -641,10 +642,26 @@ def test_cli_rejects_a_key_that_is_not_a_config_field(tmp_path, capsys, section,
     assert not (tmp_path / "run").exists()
 
 
-def test_cli_rejects_a_value_iteration_tolerance_it_cannot_meet(tmp_path, capsys):
-    blob = chain_config(tmp_path / "run", expert={"m": 50, "vi_tolerance": -1})
-    assert main(["expert", "--config", write_config(tmp_path, blob)]) == 1
-    assert "stage 'expert-policy'" in capsys.readouterr().err
+@pytest.mark.parametrize("section, spec, key, kind", [
+    ("features", {"d": 2, "path": "/nonexistent/phi.json"}, "path", None),
+    ("environment", {"kind": "chain", "discount": 0.5, "width": 40, "n_states": 9},
+     "width", "chain"),
+    ("basis", {"kind": "state-action-indicator", "n_blocks": 3, "path": "/x"},
+     "n_blocks", "state-action-indicator"),
+    ("environment", {"kind": "gridworld", "width": 2, "height": 2, "discount": 0.9,
+                     "n_actions": 7}, "n_actions", "gridworld"),
+], ids=["generated-features-with-path", "chain-with-width", "indicator-with-n-blocks",
+        "gridworld-with-n-actions"])
+def test_cli_rejects_a_key_that_only_another_kind_reads(tmp_path, capsys, section, spec, key,
+                                                         kind):
+    """The stage of the spec's kind would ignore the key without a word."""
+    blob = chain_config(tmp_path / "run", **{section: spec})
+    message = f"{section} field '{key}' is not a config field of {section} kind {kind!r}"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_json(blob)
+    assert main(["run", "--config", write_config(tmp_path, blob)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("rows, cols, data", [
