@@ -103,8 +103,9 @@ def stage_seed(master_seed, stage):
 # The keys each kind of each section reads besides "kind", with the types a
 # key's value must have when present (None: checked where the stage reads
 # it).  A count must be an integer, any other number an integer or a float;
-# a bool is neither.  Generated features, the expert and sgd have one
-# unnamed kind, None; resolve_sgd tells sgd's two forms apart.
+# a bool is neither; "horizon" may also be null.  Generated features, the
+# expert and sgd have one unnamed kind, None; resolve_sgd tells sgd's two
+# forms apart.
 _INTEGER, _REAL = (int, np.integer), (int, np.integer, float, np.floating)
 _SECTION_FIELDS = {
     "environment": {
@@ -118,8 +119,8 @@ _SECTION_FIELDS = {
         "region-indicator": {"n_blocks": _INTEGER},
         "file": {"path": None},
     },
-    "features": {None: {"d": _INTEGER}, "file": {"path": None}},
-    "expert": {None: {"m": _INTEGER}},
+    "features": {None: {"d": _INTEGER, "beta": _REAL}, "file": {"path": None}},
+    "expert": {None: {"vi_tolerance": _REAL, "m": _INTEGER, "horizon": _INTEGER}},
     "sgd": {None: {"rho": _REAL, "lam": _REAL, "eta": _REAL, "iterations": _INTEGER,
                    "epsilon": _REAL, "delta": _REAL}},
 }
@@ -141,8 +142,8 @@ class ExperimentConfig:
     basis:       {"kind": "state-action-indicator"}
                  | {"kind": "region-indicator", n_blocks}
                  | {"kind": "file", path}
-    features:    {"d": int} | {"kind": "file", path}
-    expert:      {"m": int}
+    features:    {"d": int, "beta": float} | {"kind": "file", path}
+    expert:      {"vi_tolerance": float, "m": int, "horizon": int | None}
     sgd:         {"rho", "lam", "eta", "iterations"}
                  | {"epsilon", "delta", "rho"} (hyperparameters are then
                  derived from the accuracy pair; the two forms do not mix)
@@ -218,7 +219,7 @@ class ExperimentConfig:
                     of_kind = f" of {name} kind {kind!r}" if named else ""
                     raise ValueError(f"{name} field {key!r} is not a config field{of_kind}")
                 types = fields[key]
-                if types and not _is_a(value, types):
+                if types and not _is_a(value, types) and (key, value) != ("horizon", None):
                     what = "an integer" if types is _INTEGER else "a real number"
                     raise ValueError(f"{name} field {key!r} must be {what}, got {value!r}")
         for name in ("basis", "features"):
@@ -311,7 +312,9 @@ def _build_features(spec, mdp, seed):
     if kind is not None:
         raise ValueError(f"unknown features kind {kind!r}")
     _require(spec, "features", "d")
-    return build_feature_matrix(mdp, int(spec["d"]), seed=seed)
+    return build_feature_matrix(
+        mdp, int(spec["d"]), seed=seed, beta=float(spec.get("beta", 1.0e-3))
+    )
 
 
 def resolve_sgd(spec, seed, phi, basis, mdp):
@@ -451,7 +454,11 @@ def _environment(state):
 
 def _expert_policy(state):
     config = state["config"]
-    state["expert_policy"], _ = value_iteration(state["mdp"], state["cost"])
+    state["expert_policy"], _ = value_iteration(
+        state["mdp"],
+        state["cost"],
+        tolerance=float(config.expert.get("vi_tolerance", 1e-10)),
+    )
     blob = policy_to_json(state["expert_policy"])
     blob.update(master_seed=config.master_seed, stage_seed=None)
     _write(state, "expert_policy.json", _dump_json, blob)
@@ -471,9 +478,12 @@ def _expert_trajectories(state):
     config, seed = state["config"], state["seeds"]["expert-trajectories"]
     mdp = state["mdp"]
     _require(config.expert, "expert", "m")
+    horizon = config.expert.get("horizon")
+    if horizon is None:
+        horizon = default_horizon(mdp.discount)
     state["m"] = m = int(config.expert["m"])
     trajectories = sample_trajectories(
-        mdp, state["expert_policy"], m, default_horizon(mdp.discount), seed
+        mdp, state["expert_policy"], m, int(horizon), seed
     )
     _write(
         state,

@@ -9,9 +9,10 @@ expert batch meets the pair's sample size.  The CLI must expose every
 stage as a stateless subcommand whose outputs match a full run, remove
 only its own files when a stage fails, reject a malformed theta file,
 feature file, basis file, config shape, unknown kind, key that only
-another kind reads, out_dir or mix of explicit and derived
-hyperparameters, fail `verify` when a property misses its tolerance, and
-report validation failures and internal errors through its exit code.
+another kind reads, out_dir, mix of explicit and derived hyperparameters
+or value-iteration tolerance, fail `verify` when a property misses its
+tolerance, and report validation failures and internal errors through its
+exit code.
 """
 
 import hashlib
@@ -580,6 +581,7 @@ def test_cli_rejects_a_file_path_that_is_not_a_string(tmp_path, capsys, section,
     ("environment", "width"),
     ("features", "d"),
     ("expert", "m"),
+    ("expert", "horizon"),
     ("sgd", "iterations"),
     (None, "master_seed"),
 ])
@@ -601,6 +603,8 @@ def test_cli_rejects_a_count_that_is_not_an_integer(tmp_path, capsys, section, k
 @pytest.mark.parametrize("section, key", [
     ("environment", "discount"),
     ("environment", "slip_prob"),
+    ("features", "beta"),
+    ("expert", "vi_tolerance"),
     ("sgd", "rho"),
     ("sgd", "lam"),
     ("sgd", "eta"),
@@ -623,9 +627,6 @@ def test_cli_rejects_a_real_field_that_is_not_a_number(tmp_path, capsys, section
     (None, "scheme", "uniform"),
     ("sgd", "batch_size", 4),
     ("sgd", "iterationz", 100),
-    ("expert", "horizon", 30),
-    ("expert", "vi_tolerance", 1e-10),
-    ("features", "beta", 1e-3),
 ])
 def test_cli_rejects_a_key_that_is_not_a_config_field(tmp_path, capsys, section, key, value):
     """A key that nothing reads would otherwise be ignored without a word."""
@@ -640,6 +641,12 @@ def test_cli_rejects_a_key_that_is_not_a_config_field(tmp_path, capsys, section,
     assert main(["run", "--config", write_config(tmp_path, blob)]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_cli_rejects_a_value_iteration_tolerance_it_cannot_meet(tmp_path, capsys):
+    blob = chain_config(tmp_path / "run", expert={"m": 50, "vi_tolerance": -1})
+    assert main(["expert", "--config", write_config(tmp_path, blob)]) == 1
+    assert "stage 'expert-policy'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("section, spec, key, kind", [
