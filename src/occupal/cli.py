@@ -62,11 +62,19 @@ _SLICES = {
 _EVALUATE_STAGES = ("environment", "expert-policy", "basis", "features")
 
 
+def _read_json(path, what):
+    """The JSON value in file `path`.  A file that cannot be read or parsed
+    (missing, a directory, not JSON) raises ValueError naming the path."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{path}: unreadable {what} file ({exc})") from exc
+
+
 def _load_config(args):
-    with open(args.config) as fh:
-        blob = json.load(fh)
     return ExperimentConfig.from_json(
-        blob,
+        _read_json(args.config, "config"),
         out_dir=getattr(args, "out", None),
         master_seed=getattr(args, "seed", None),
     )
@@ -82,8 +90,7 @@ def _cmd_slice(args):
 
 def _load_theta(path, d):
     """The parameter vector of a theta.json file, which comes from outside."""
-    with open(path) as fh:
-        blob = json.load(fh)
+    blob = _read_json(path, "theta")
     try:
         theta = np.asarray(blob["theta"], dtype=float)
     except (KeyError, TypeError, ValueError):
@@ -234,8 +241,8 @@ def main(argv=None):
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         cause = exc.__cause__
-        return 1 if isinstance(cause, (ValueError, FileNotFoundError)) else 2
-    except (ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+        return 1 if isinstance(cause, ValueError) else 2
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal failure path

@@ -100,60 +100,83 @@ def stage_seed(master_seed, stage):
     return _splitmix64((int(master_seed) ^ tag) & _MASK64)
 
 
-# The keys each kind of each section reads besides "kind", with the types a
-# key's value must have when present (None: checked where the stage reads
-# it).  A count must be an integer, any other number an integer or a float;
-# a bool is neither; "horizon" may also be null.  Generated features, the
-# expert and sgd have one unnamed kind, None; resolve_sgd tells sgd's two
-# forms apart.
-_INTEGER, _REAL = (int, np.integer), (int, np.integer, float, np.floating)
+def _is_integer(value):
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# The one statement of the config: for each kind of each section, each key
+# it reads besides "kind", as (type, default), where _REQUIRED marks a key
+# without a default.  A type is (test, conversion, what the message calls
+# it): a count must be an integer and becomes an int, a real an integer or a
+# float and becomes a float (a bool is neither), a path a string naming an
+# existing file.  Generated features, the expert and sgd have one unnamed
+# kind, None; resolve_sgd tells sgd's two forms apart and requires the keys
+# of the form it is given.  _TOP_FIELDS types the two keys beside the
+# sections.
+_COUNT = (_is_integer, int, "an integer")
+_REAL = (lambda v: _is_integer(v) or isinstance(v, (float, np.floating)), float,
+         "a real number")
+_PATH = (lambda v: isinstance(v, str) and os.path.isfile(v), str,
+         "a string naming an existing file")
+_REQUIRED = object()
 _SECTION_FIELDS = {
     "environment": {
-        "gridworld": {"width": _INTEGER, "height": _INTEGER, "discount": _REAL,
-                      "slip_prob": _REAL},
-        "random": {"n_states": _INTEGER, "n_actions": _INTEGER, "discount": _REAL},
-        "chain": {"discount": _REAL},
+        "gridworld": {"width": (_COUNT, _REQUIRED), "height": (_COUNT, _REQUIRED),
+                      "discount": (_REAL, _REQUIRED), "slip_prob": (_REAL, 0.1)},
+        "random": {"n_states": (_COUNT, _REQUIRED), "n_actions": (_COUNT, _REQUIRED),
+                   "discount": (_REAL, _REQUIRED)},
+        "chain": {"discount": (_REAL, 0.5)},
     },
     "basis": {
         "state-action-indicator": {},
-        "region-indicator": {"n_blocks": _INTEGER},
-        "file": {"path": None},
+        "region-indicator": {"n_blocks": (_COUNT, _REQUIRED)},
+        "file": {"path": (_PATH, _REQUIRED)},
     },
-    "features": {None: {"d": _INTEGER, "beta": _REAL}, "file": {"path": None}},
-    "expert": {None: {"vi_tolerance": _REAL, "m": _INTEGER, "horizon": _INTEGER}},
-    "sgd": {None: {"rho": _REAL, "lam": _REAL, "eta": _REAL, "iterations": _INTEGER,
-                   "epsilon": _REAL, "delta": _REAL}},
+    "features": {None: {"d": (_COUNT, _REQUIRED)}, "file": {"path": (_PATH, _REQUIRED)}},
+    "expert": {None: {"m": (_COUNT, _REQUIRED)}},
+    "sgd": {None: {"rho": (_REAL, _REQUIRED), "lam": (_REAL, _REQUIRED),
+                   "eta": (_REAL, _REQUIRED), "iterations": (_COUNT, _REQUIRED),
+                   "epsilon": (_REAL, _REQUIRED), "delta": (_REAL, _REQUIRED)}},
 }
-_CONFIG_FIELDS = (*_SECTION_FIELDS, "out_dir", "master_seed")
+_TOP_FIELDS = {"out_dir": (lambda v: isinstance(v, str), str, "a string"),
+               "master_seed": _COUNT}
+_CONFIG_FIELDS = (*_SECTION_FIELDS, *_TOP_FIELDS)
 
 
-def _is_a(value, kinds):
-    """True for an instance of `kinds` that is not a bool."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
+def _checked(name, key, value, field_type):
+    """`value` converted to its table type; ValueError if it is not of it."""
+    test, convert, what = field_type
+    if not test(value):
+        raise ValueError(f"{name} field {key!r} must be {what}, got {value!r}")
+    return convert(value)
+
+
+def _kind_fields(name, spec):
+    """The table's keys for the kind of section `name` that `spec` gives,
+    or None for a kind the table does not know."""
+    kinds = _SECTION_FIELDS[name]
+    kind = spec.get("kind") if len(kinds) > 1 else None
+    # Compared, not looked up: a JSON list as kind is unhashable.
+    return next((fields for known, fields in kinds.items() if known == kind), None)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one full run.
 
-    environment: {"kind": "gridworld", width, height, discount, slip_prob}
-                 | {"kind": "random", n_states, n_actions, discount}
-                 | {"kind": "chain", discount}
-    basis:       {"kind": "state-action-indicator"}
-                 | {"kind": "region-indicator", n_blocks}
-                 | {"kind": "file", path}
-    features:    {"d": int, "beta": float} | {"kind": "file", path}
-    expert:      {"vi_tolerance": float, "m": int, "horizon": int | None}
-    sgd:         {"rho", "lam", "eta", "iterations"}
-                 | {"epsilon", "delta", "rho"} (hyperparameters are then
-                 derived from the accuracy pair; the two forms do not mix)
-
-    A key that the spec's kind does not read, "kind" in a section without
-    named kinds, or a top-level key other than these sections, out_dir and
-    master_seed, raises ValueError; an unknown kind fails its own stage.
-    The count fields above and master_seed must be Python or numpy integers
-    (not bools), the real-valued fields integers or floats (not bools), and
-    out_dir and a file spec's path strings; anything else raises ValueError.
+    environment, basis, features, expert and sgd are the five sections;
+    _SECTION_FIELDS states, for each kind of each, the keys it reads with
+    their types and defaults, and the README's key table lists the same.
+    Loading checks each key's type, converts counts to int and reals to
+    float, and fills in the defaults.  A key that the spec's kind does not
+    read, "kind" in a section without named kinds, a top-level key other
+    than these sections, out_dir and master_seed, a value of the wrong
+    type, or a file path that names no file raises ValueError.  A missing
+    required key or an unknown kind fails the stage that reads the section.
+    sgd holds rho, lam, eta and iterations, or the accuracy pair epsilon,
+    delta and rho, from which the hyperparameters are derived; the two
+    forms do not mix.
     """
 
     environment: dict
@@ -184,82 +207,55 @@ class ExperimentConfig:
                 raise ValueError(
                     f"config field {key!r} must be a JSON object, got {blob[key]!r}"
                 )
-        return ExperimentConfig(
-            environment=dict(blob["environment"]),
-            basis=dict(blob["basis"]),
-            features=dict(blob["features"]),
-            expert=dict(blob["expert"]),
-            sgd=dict(blob["sgd"]),
-            out_dir=blob["out_dir"],
-            master_seed=blob["master_seed"],
-        )
+        return ExperimentConfig(**{key: blob[key] for key in _CONFIG_FIELDS})
 
     def __post_init__(self):
-        if not isinstance(self.out_dir, str):
-            raise ValueError(
-                f"config field 'out_dir' must be a string, got {self.out_dir!r}"
-            )
-        if not _is_a(self.master_seed, _INTEGER):
-            raise ValueError(
-                f"config field 'master_seed' must be an integer, got {self.master_seed!r}"
-            )
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+        for key, field_type in _TOP_FIELDS.items():
+            object.__setattr__(self, key, _checked("config", key, getattr(self, key), field_type))
         for name, kinds in _SECTION_FIELDS.items():
             spec = getattr(self, name)
-            named = len(kinds) > 1
-            kind = spec.get("kind") if named else None
-            # Compared, not looked up: a JSON list as kind is unhashable.
-            fields = next((keys for known, keys in kinds.items() if known == kind), None)
+            fields = _kind_fields(name, spec)
             if fields is None:
                 continue  # its stage rejects the unknown kind by name
+            named = len(kinds) > 1
+            checked = {key: default for key, (_, default) in fields.items()
+                       if default is not _REQUIRED}
             for key, value in spec.items():
                 if key == "kind" and named:
-                    continue
-                if key not in fields:
-                    of_kind = f" of {name} kind {kind!r}" if named else ""
+                    checked[key] = value
+                elif key in fields:
+                    checked[key] = _checked(name, key, value, fields[key][0])
+                else:
+                    of_kind = f" of {name} kind {spec.get('kind')!r}" if named else ""
                     raise ValueError(f"{name} field {key!r} is not a config field{of_kind}")
-                types = fields[key]
-                if types and not _is_a(value, types) and (key, value) != ("horizon", None):
-                    what = "an integer" if types is _INTEGER else "a real number"
-                    raise ValueError(f"{name} field {key!r} must be {what}, got {value!r}")
-        for name in ("basis", "features"):
-            spec = getattr(self, name)
-            if spec.get("kind") == "file":
-                path = spec.get("path", "")
-                if not isinstance(path, str):
-                    raise ValueError(f"{name} field 'path' must be a string, got {path!r}")
-                if not os.path.exists(path):
-                    raise ValueError(f"{name} file not found: {path}")
+            object.__setattr__(self, name, checked)
 
 
-def _require(spec, what, *keys):
-    missing = [key for key in keys if key not in spec]
+def _require(name, spec):
+    """Raise if `spec` lacks a key that its kind of section `name` requires."""
+    fields = _kind_fields(name, spec) or {}
+    missing = [key for key, (_, default) in fields.items()
+               if default is _REQUIRED and key not in spec]
     if missing:
-        raise ValueError(f"{what} spec missing fields: {missing}")
+        raise ValueError(f"{name} spec missing fields: {missing}")
 
+
+# Each builder takes a checked section of an ExperimentConfig: its values
+# have their table types and its defaults are filled in.
 
 def _build_environment(spec, seed):
+    _require("environment", spec)
     kind = spec.get("kind")
     if kind == "gridworld":
-        _require(spec, "environment", "width", "height", "discount")
         mdp, cost = make_gridworld(
-            int(spec["width"]),
-            int(spec["height"]),
-            float(spec["discount"]),
-            float(spec.get("slip_prob", 0.1)),
+            spec["width"], spec["height"], spec["discount"], spec["slip_prob"]
         )
     elif kind == "random":
-        _require(spec, "environment", "n_states", "n_actions", "discount")
-        mdp = make_random_mdp(
-            int(spec["n_states"]),
-            int(spec["n_actions"]),
-            float(spec["discount"]),
-            seed=seed,
-        )
+        mdp = make_random_mdp(spec["n_states"], spec["n_actions"], spec["discount"], seed=seed)
         rng = np.random.default_rng(seed)
         cost = rng.uniform(0.0, 1.0, size=(mdp.n_states, mdp.n_actions)).ravel()
     elif kind == "chain":
-        mdp = make_chain(float(spec.get("discount", 0.5)))
+        mdp = make_chain(spec["discount"])
         cost = chain_cost()
     else:
         raise ValueError(f"unknown environment kind {kind!r}")
@@ -270,18 +266,17 @@ def _build_environment(spec, seed):
 
 
 def _build_basis(spec, mdp):
+    _require("basis", spec)
     kind = spec.get("kind")
     if kind == "state-action-indicator":
         basis = state_action_indicator_basis(mdp)
     elif kind == "region-indicator":
-        _require(spec, "basis", "n_blocks")
-        basis = region_indicator_basis(mdp, int(spec["n_blocks"]))
+        basis = region_indicator_basis(mdp, spec["n_blocks"])
     elif kind == "file":
-        _require(spec, "basis", "path")
         path = spec["path"]
         try:
             basis = load_basis(path)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: unreadable basis file ({exc})") from exc
     else:
         raise ValueError(f"unknown basis kind {kind!r}")
@@ -293,13 +288,13 @@ def _build_basis(spec, mdp):
 
 
 def _build_features(spec, mdp, seed):
+    _require("features", spec)
     kind = spec.get("kind")
     if kind == "file":
-        _require(spec, "features", "path")
         path = spec["path"]
         try:
             features = load_features(path)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (OSError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: unreadable feature file ({exc})") from exc
         phi = features.phi
         if (phi.ndim != 2 or phi.shape[0] != mdp.n_pairs or phi.shape[1] < 1
@@ -311,18 +306,17 @@ def _build_features(spec, mdp, seed):
         return features
     if kind is not None:
         raise ValueError(f"unknown features kind {kind!r}")
-    _require(spec, "features", "d")
-    return build_feature_matrix(
-        mdp, int(spec["d"]), seed=seed, beta=float(spec.get("beta", 1.0e-3))
-    )
+    return build_feature_matrix(mdp, spec["d"], seed=seed)
 
 
 def resolve_sgd(spec, seed, phi, basis, mdp):
     """Explicit hyperparameters, or derive them from (epsilon, delta, rho).
 
-    Returns (config, constants, sample size): the sample size is the
-    schedule's required number of expert trajectories, None for explicit
-    hyperparameters.  A spec that mixes the two forms raises ValueError.
+    `spec` is the sgd section of an ExperimentConfig.  Returns (config,
+    constants, sample size): the sample size is the schedule's required
+    number of expert trajectories, None for explicit hyperparameters.  A
+    spec that mixes the two forms, or lacks a key of its form, raises
+    ValueError.
     """
     explicit = [key for key in ("lam", "eta", "iterations") if key in spec]
     derived = [key for key in ("epsilon", "delta") if key in spec]
@@ -331,11 +325,12 @@ def resolve_sgd(spec, seed, phi, basis, mdp):
             f"sgd fields {derived} cannot be combined with {explicit}: give "
             "rho, lam, eta and iterations, or epsilon, delta and rho"
         )
+    form = ("epsilon", "delta", "rho") if derived else ("rho", "lam", "eta", "iterations")
+    missing = [key for key in form if key not in spec]
+    if missing:
+        raise ValueError(f"sgd spec missing fields: {missing}")
     if derived:
-        _require(spec, "sgd", "epsilon", "delta", "rho")
-        epsilon = float(spec["epsilon"])
-        delta = float(spec["delta"])
-        rho = float(spec["rho"])
+        epsilon, delta, rho = spec["epsilon"], spec["delta"], spec["rho"]
         lam = 1.0 / epsilon
         constants = sampling_constants(phi, mdp, basis, lam)
         schedule = certified_schedule(
@@ -351,12 +346,8 @@ def resolve_sgd(spec, seed, phi, basis, mdp):
             delta=delta,
         )
         return config, constants, schedule.sample_size
-    _require(spec, "sgd", "rho", "lam", "eta", "iterations")
     config = SgdConfig(
-        rho=float(spec["rho"]),
-        lam=float(spec["lam"]),
-        eta=float(spec["eta"]),
-        iterations=int(spec["iterations"]),
+        rho=spec["rho"], lam=spec["lam"], eta=spec["eta"], iterations=spec["iterations"],
         seed=seed,
     )
     constants = sampling_constants(phi, mdp, basis, config.lam)
@@ -454,11 +445,7 @@ def _environment(state):
 
 def _expert_policy(state):
     config = state["config"]
-    state["expert_policy"], _ = value_iteration(
-        state["mdp"],
-        state["cost"],
-        tolerance=float(config.expert.get("vi_tolerance", 1e-10)),
-    )
+    state["expert_policy"], _ = value_iteration(state["mdp"], state["cost"])
     blob = policy_to_json(state["expert_policy"])
     blob.update(master_seed=config.master_seed, stage_seed=None)
     _write(state, "expert_policy.json", _dump_json, blob)
@@ -477,13 +464,10 @@ def _features(state):
 def _expert_trajectories(state):
     config, seed = state["config"], state["seeds"]["expert-trajectories"]
     mdp = state["mdp"]
-    _require(config.expert, "expert", "m")
-    horizon = config.expert.get("horizon")
-    if horizon is None:
-        horizon = default_horizon(mdp.discount)
-    state["m"] = m = int(config.expert["m"])
+    _require("expert", config.expert)
+    state["m"] = m = config.expert["m"]
     trajectories = sample_trajectories(
-        mdp, state["expert_policy"], m, int(horizon), seed
+        mdp, state["expert_policy"], m, default_horizon(mdp.discount), seed
     )
     _write(
         state,

@@ -28,8 +28,6 @@ __all__ = [
     "exact_occupancy",
     "exact_series_occupancy",
     "series_tail_gaps",
-    "to_float_mdp",
-    "to_float_policy",
 ]
 
 
@@ -214,7 +212,7 @@ def series_tail_gaps(rmdp, policy, horizons):
     }
 
 
-def to_float_mdp(rmdp):
+def _to_float_mdp(rmdp):
     """Float64 twin; exact when the denominators are powers of two."""
     n, k = rmdp.n_states, rmdp.n_actions
     transition = np.array(rmdp.trans_weights, dtype=float) / rmdp.trans_denom
@@ -222,7 +220,7 @@ def to_float_mdp(rmdp):
     return Mdp(n, k, transition.reshape(n * k, n), float(rmdp.gamma), init)
 
 
-def to_float_policy(policy):
+def _to_float_policy(policy):
     from .mdp import Policy
 
     return Policy(np.array(policy.probs_weights, dtype=float) / policy.denom)

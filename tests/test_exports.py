@@ -1,8 +1,10 @@
-"""Every name a module exports must exist, and the README's code must run.
+"""Every name a module exports must exist, the README's code must run, and
+the README's config key table must be the pipeline's.
 
 `from occupal.<module> import *` fails on a name left in `__all__` after
 its definition was deleted, and nothing else would notice; neither would
-a README that still calls a removed name.
+a README that still calls a removed name or lists a key the config no
+longer reads.
 """
 
 import importlib
@@ -16,7 +18,7 @@ import pytest
 
 import occupal
 from occupal.cli import main
-from occupal.pipeline import ARTIFACT_NAMES
+from occupal.pipeline import _REQUIRED, _SECTION_FIELDS, ARTIFACT_NAMES
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -56,3 +58,25 @@ def test_readme_cli_quick_start_runs(tmp_path):
     assert sorted(os.listdir(out)) == sorted(ARTIFACT_NAMES)
     sentence = re.search(r"writes nine artifacts \((.*?)\)", readme, flags=re.DOTALL)
     assert sorted(re.findall(r"`([^`]+)`", sentence.group(1))) == sorted(ARTIFACT_NAMES)
+
+
+def test_readme_key_table_matches_the_config_table():
+    """For each kind of each section, the README lists the keys that
+    pipeline._SECTION_FIELDS states, with the same defaults; a key listed
+    without a default is required."""
+    header = "| section | kind | keys (default) |\n| --- | --- | --- |\n"
+    rows = README.read_text().split(header)[1].split("\n\n")[0].splitlines()
+    listed = {}
+    for row in rows:
+        section, kind, keys = (cell.strip() for cell in row.strip("|").split("|"))
+        kind = None if kind == "no `kind` key" else kind.strip("`")
+        listed[section.strip("`"), kind] = {
+            key: float(default) if default else _REQUIRED
+            for key, default in re.findall(r"`(\w+)`(?: \(([^)]*)\))?", keys)
+        }
+    stated = {
+        (section, kind): {key: default for key, (_, default) in fields.items()}
+        for section, kinds in _SECTION_FIELDS.items()
+        for kind, fields in kinds.items()
+    }
+    assert listed == stated

@@ -15,13 +15,13 @@ import numpy as np
 
 from occupal.mdp import occupancy_of_policy
 from occupal.rational import (
+    _to_float_mdp,
+    _to_float_policy,
     exact_occupancy,
     exact_series_occupancy,
     random_rational_mdp,
     random_rational_policy,
     series_tail_gaps,
-    to_float_mdp,
-    to_float_policy,
 )
 
 
@@ -73,8 +73,8 @@ def test_float_conversion_is_exact_and_solver_agrees():
     for _ in range(20):
         rmdp = random_rational_mdp(rng, 5, 3)
         policy = random_rational_policy(rng, rmdp)
-        mdp = to_float_mdp(rmdp)
-        float_policy = to_float_policy(policy)
+        mdp = _to_float_mdp(rmdp)
+        float_policy = _to_float_policy(policy)
         # conversion is exact entry by entry
         weights = np.array(rmdp.trans_weights, dtype=float) / rmdp.trans_denom
         assert np.array_equal(mdp.transition, weights.reshape(15, 5))
