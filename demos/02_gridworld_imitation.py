@@ -33,7 +33,7 @@ print("== Environment and expert ==")
 mdp, true_cost = make_gridworld(4, 4, 0.9, slip_prob=0.1)
 basis = region_indicator_basis(mdp, 4)  # 4 cost features: one per board region
 phi = build_feature_matrix(mdp, 6, seed=12)  # 6-dimensional candidate space
-expert, _ = value_iteration(mdp, true_cost, tolerance=1e-10)
+expert, _ = value_iteration(mdp, true_cost)
 expert_mu = occupancy_of_policy(mdp, expert)
 true_fe = feature_expectation(expert_mu, basis)
 print(f"16 states x 4 actions, discount 0.9; expert region profile: {true_fe}")

@@ -9,7 +9,8 @@ runs of degenerate pivots, so it terminates without cycling.
 A cross-check of the optimum, `subgradient_solve`, runs column generation
 over the deterministic policies' measures: a master of n_costs + 1 rows
 finds the best mixture of the policies found so far, and an exact
-policy-iteration solve prices the next one.  Every pricing solve also
+policy-iteration solve, started from the pricing cost's greedy policy,
+prices the next one.  Every pricing solve also
 bounds the optimum from below, so each result says whether it is
 certified.  The master shares the simplex core with `exact_al_solve`, but
 a certificate does not rest on it: the gap is recomputed from the mixed
@@ -28,9 +29,7 @@ from .mdp import (
     OccupancyMeasure,
     deterministic_policy,
     occupancy_of_policy,
-    state_transition_matrix,
     uniform_policy,
-    value_iteration,
 )
 
 __all__ = [
@@ -299,22 +298,22 @@ def exact_al_solve(mdp, basis, target):
 def _optimal_occupancy_for_cost(mdp, cost):
     """Exact minimizer of <mu, cost> over the occupancy polytope.
 
-    Policy iteration on the deterministic policies: evaluate exactly by
-    linear solve, improve greedily, stop when no action improves by more
-    than solver round-off.  Finite and independent of the simplex code.
-    Returns (actions, measure) of the final deterministic policy.  Raises
-    RuntimeError if the policy still improves after _POLICY_ITERATION_ROUNDS
-    rounds: an unconverged policy's w . (Psi^T mu - target) bounds nothing.
+    Policy iteration on the deterministic policies, started from the
+    cost's own greedy policy: evaluate exactly by linear solve, improve
+    greedily, stop when no action improves by more than solver round-off.
+    It is finite and exact from any start, and independent of the simplex
+    code.  Returns (actions, measure) of the final deterministic policy.
+    Raises RuntimeError if the policy still improves after
+    _POLICY_ITERATION_ROUNDS rounds: an unconverged policy's
+    w . (Psi^T mu - target) bounds nothing.
     """
     cost = np.asarray(cost, dtype=float)
-    policy, _ = value_iteration(mdp, cost, tolerance=1e-12)
-    actions = policy.probs.argmax(axis=1)
+    actions = cost.reshape(mdp.n_states, mdp.n_actions).argmin(axis=1)
     idx = np.arange(mdp.n_states)
     for _ in range(_POLICY_ITERATION_ROUNDS):
-        p_pi = state_transition_matrix(mdp, deterministic_policy(mdp, actions))
-        c_pi = cost.reshape(mdp.n_states, mdp.n_actions)[idx, actions]
+        pairs = idx * mdp.n_actions + actions
         values = np.linalg.solve(
-            np.eye(mdp.n_states) - mdp.discount * p_pi, c_pi
+            np.eye(mdp.n_states) - mdp.discount * mdp.transition[pairs], cost[pairs]
         )
         q = (cost + mdp.discount * (mdp.transition @ values)).reshape(
             mdp.n_states, mdp.n_actions

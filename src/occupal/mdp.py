@@ -11,7 +11,6 @@ one convention, so it is fixed here and never re-derived.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -208,23 +207,18 @@ def flow_residual(mdp, u):
 
 
 _MAX_SWEEPS = 1_000_000
+_VI_TOLERANCE = 1e-10
 
 
-def value_iteration(mdp, cost, tolerance=1e-10):
+def value_iteration(mdp, cost):
     """Minimize expected discounted cost by value iteration.
 
-    Sweeps until the sup-norm Bellman residual drops to `tolerance`; the
-    greedy policy (argmin, ties to the lowest action index) is then within
-    tolerance * (1 + g) / (1 - g) of optimal.  Returns (Policy, values).
-    `tolerance` must be positive and finite: a residual may never reach
-    zero, no residual compares below NaN, and an infinite tolerance stops
-    after one sweep without a bound.  After a million sweeps it warns and
-    returns the greedy policy of the last iterate.
+    Sweeps until the sup-norm Bellman residual drops to the fixed
+    `_VI_TOLERANCE` (1e-10); the greedy policy (argmin, ties to the lowest
+    action index) is then within 1e-10 * (1 + g) / (1 - g) of optimal.
+    Returns (Policy, values).  After a million sweeps it warns and returns
+    the greedy policy of the last iterate.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0.0):
-        raise ValueError(
-            f"value iteration needs a positive finite tolerance, got {tolerance!r}"
-        )
     cost = np.asarray(cost, dtype=float)
     v = np.zeros(mdp.n_states)
     for _ in range(_MAX_SWEEPS):
@@ -234,7 +228,7 @@ def value_iteration(mdp, cost, tolerance=1e-10):
         v_next = q.min(axis=1)
         residual = np.abs(v_next - v).max()
         v = v_next
-        if residual <= tolerance:
+        if residual <= _VI_TOLERANCE:
             break
     else:
         warnings.warn(

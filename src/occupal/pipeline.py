@@ -595,7 +595,10 @@ def run_stages(config, stages, write):
         raise ValueError(f"stages {list(stages)} do not write all of {list(write)}")
     out = config.out_dir
     if write:
-        os.makedirs(out, exist_ok=True)
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(f"{out}: cannot create the output directory ({exc})") from exc
     state = {
         "config": config,
         "seeds": {

@@ -157,7 +157,7 @@ def test_criterion_07_scaled_training_experiment():
     mdp, cost = make_gridworld(4, 4, 0.9, 0.1)
     basis = region_indicator_basis(mdp, 4)
     phi = build_feature_matrix(mdp, 6, seed=2471, beta=1e-3)
-    expert, _ = value_iteration(mdp, cost, tolerance=1e-10)
+    expert, _ = value_iteration(mdp, cost)
     true_fe = feature_expectation(occupancy_of_policy(mdp, expert), basis)
     exact = exact_al_solve(mdp, basis, true_fe)
 
@@ -218,7 +218,7 @@ def test_criterion_08_hoeffding_estimation_rate():
     start = time.perf_counter()
     mdp = make_chain(0.5)
     basis = region_indicator_basis(mdp, 2)
-    expert, _ = value_iteration(mdp, chain_cost(), tolerance=1e-10)
+    expert, _ = value_iteration(mdp, chain_cost())
     true_fe = feature_expectation(occupancy_of_policy(mdp, expert), basis)
 
     epsilon = delta = 0.5

@@ -45,7 +45,7 @@ def _expert_gridworld(width):
     """A gridworld, a 4-block basis and the expert's own feature expectation."""
     mdp, cost = make_gridworld(width, width, 0.9, 0.1)
     basis = region_indicator_basis(mdp, 4)
-    expert, _ = value_iteration(mdp, cost, tolerance=1e-10)
+    expert, _ = value_iteration(mdp, cost)
     return mdp, basis, feature_expectation(occupancy_of_policy(mdp, expert), basis)
 
 
@@ -214,7 +214,7 @@ def test_expert_target_on_gridworlds(width, n_blocks, discount, slip):
     # the expert's own feature expectation is attainable, so the gap is zero
     mdp, cost = make_gridworld(width, width, discount, slip)
     basis = region_indicator_basis(mdp, n_blocks)
-    expert, _ = value_iteration(mdp, cost, tolerance=1e-10)
+    expert, _ = value_iteration(mdp, cost)
     target = feature_expectation(occupancy_of_policy(mdp, expert), basis)
     solution = exact_al_solve(mdp, basis, target)
     assert solution.objective <= 1e-9
@@ -269,6 +269,13 @@ def test_subgradient_solver_on_known_instance():
     assert sub.objective == pytest.approx(0.7, abs=1e-6)
 
 
+def _priced_and_value_iteration_costs(mdp, cost):
+    """<mu, cost> of the priced policy and of value iteration's policy."""
+    _, mu = baseline._optimal_occupancy_for_cost(mdp, cost)
+    expert, _ = value_iteration(mdp, cost)
+    return float(mu.mass @ cost), float(occupancy_of_policy(mdp, expert).mass @ cost)
+
+
 def test_pricing_raises_when_policy_iteration_hits_its_cap(monkeypatch):
     """An unconverged pricing policy would give a lower bound that need not
     hold, so running out of rounds must fail, not certify."""
@@ -277,20 +284,39 @@ def test_pricing_raises_when_policy_iteration_hits_its_cap(monkeypatch):
     target = feature_expectation(
         occupancy_of_policy(mdp, value_iteration(mdp, cost)[0]), basis
     )
-
-    def worst_start(mdp, cost, tolerance):
-        # the greedy policy of the negated cost: the poorest deterministic start
-        return value_iteration(mdp, -np.asarray(cost), tolerance)
-
-    monkeypatch.setattr(baseline, "value_iteration", worst_start)
-    # from the poor start, the default cap still converges
-    actions, _ = baseline._optimal_occupancy_for_cost(mdp, cost)
-    assert np.array_equal(actions, value_iteration(mdp, cost)[0].probs.argmax(axis=1))
+    # from the cost's greedy start the default cap converges; ties on the
+    # symmetric gridworld may pick other actions than value iteration's,
+    # but never a costlier policy
+    priced, vi = _priced_and_value_iteration_costs(mdp, cost)
+    assert abs(priced - vi) <= 1e-12 * max(1.0, abs(priced))
     monkeypatch.setattr(baseline, "_POLICY_ITERATION_ROUNDS", 1)
     with pytest.raises(RuntimeError, match=f"after 1 rounds on a cost of {mdp.n_pairs} entries"):
         baseline._optimal_occupancy_for_cost(mdp, cost)
     with pytest.raises(RuntimeError, match="policy iteration still improving"):
         subgradient_solve(mdp, basis, target)
+
+
+@pytest.mark.parametrize("width", [4, 10, 16, 24])
+@pytest.mark.parametrize("n_blocks", [4, 8])
+def test_pricing_from_the_greedy_start_on_region_costs(width, n_blocks):
+    """Policy iteration from the cost's greedy policy converges within its
+    cap on the region-basis costs Psi w that column generation prices, and
+    is never worse than value iteration's policy."""
+    mdp, _ = make_gridworld(width, width, 0.9, 0.1)
+    psi = region_indicator_basis(mdp, n_blocks).psi
+    rng = np.random.default_rng(100 * width + n_blocks)
+    for _ in range(3):
+        cost = psi @ rng.uniform(-1.0, 1.0, n_blocks)
+        priced, vi = _priced_and_value_iteration_costs(mdp, cost)
+        assert priced <= vi + 1e-12 * max(1.0, abs(priced))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pricing_from_the_greedy_start_on_random_mdps(seed):
+    mdp = make_random_mdp(30, 5, 0.95, seed=seed)
+    cost = np.random.default_rng(seed).uniform(-1.0, 1.0, mdp.n_pairs)
+    priced, vi = _priced_and_value_iteration_costs(mdp, cost)
+    assert priced <= vi + 1e-12 * max(1.0, abs(priced))
 
 
 def test_subgradient_solver_on_dense_bases():

@@ -9,8 +9,9 @@ expert batch meets the pair's sample size.  The CLI must expose every
 stage as a stateless subcommand whose outputs match a full run, remove
 only its own files when a stage fails, reject a malformed theta file,
 feature file, basis file, config shape, unknown kind, key that only
-another kind reads, out_dir, mix of explicit and derived hyperparameters
-or input path that is not a readable file, fail `verify` when a property
+another kind reads, out_dir that is not a string or cannot be created,
+mix of explicit and derived hyperparameters or input path that is not a
+readable file, fail `verify` when a property
 misses its tolerance, and report validation failures and internal errors
 through its exit code.
 """
@@ -532,6 +533,18 @@ def test_cli_rejects_an_out_dir_that_is_not_a_string(tmp_path, capsys, monkeypat
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_cli_rejects_an_out_dir_it_cannot_create(tmp_path, capsys, under):
+    """An --out that names a file, or lies under one, is a bad input (exit 1)."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    out = blocker / "sub" if under else blocker
+    config_path = write_config(tmp_path, chain_config(tmp_path / "run"))
+    assert main(["generate", "--config", config_path, "--out", str(out)]) == 1
+    assert f"{out}: cannot create the output directory" in capsys.readouterr().err
+    assert blocker.read_text() == "keep"
+
+
 @pytest.mark.parametrize("sgd, derived, explicit", [
     ({"rho": 2.0, "lam": 5.0, "eta": 0.01, "iterations": 100, "epsilon": 0.5,
       "delta": 0.5}, ["epsilon", "delta"], ["lam", "eta", "iterations"]),
@@ -771,7 +784,7 @@ def test_cli_internal_stage_failure_cleans_up(tmp_path, monkeypatch):
     out = tmp_path / "run"
     config_path = write_config(tmp_path, chain_config(out))
 
-    def explode(mdp, cost, tolerance=1e-10):
+    def explode(mdp, cost):
         raise RuntimeError("synthetic solver crash")
 
     monkeypatch.setattr("occupal.pipeline.value_iteration", explode)
