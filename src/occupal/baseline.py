@@ -9,8 +9,7 @@ runs of degenerate pivots, so it terminates without cycling.
 A cross-check of the optimum, `subgradient_solve`, runs column generation
 over the deterministic policies' measures: a master of n_costs + 1 rows
 finds the best mixture of the policies found so far, and an exact
-policy-iteration solve, started from the pricing cost's greedy policy,
-prices the next one.  Every pricing solve also
+policy-iteration solve prices the next one.  Every pricing solve also
 bounds the optimum from below, so each result says whether it is
 certified.  The master shares the simplex core with `exact_al_solve`, but
 a certificate does not rest on it: the gap is recomputed from the mixed
@@ -51,7 +50,11 @@ _DEGENERATE_RUN = 32  # degenerate Dantzig pivots in a row before Bland's rule
 _TOL = 1e-9
 _HARRIS_TOL = 1e-11  # infeasibility the ratio test may accept for a larger pivot
 _SMALL_PIVOT = 1e-6  # relative to the column's largest entry
-_POLICY_ITERATION_ROUNDS = 64
+# Policy-iteration rounds allowed beyond n_states.  A round can carry an
+# improvement only a few transitions further, so the rounds grow with the
+# length of a thin MDP: 232 on a 1 x 400 gridworld priced at its goal cost.
+# The cap guards against round-off cycling; it is not a proven bound.
+_POLICY_ITERATION_SLACK = 64
 
 
 def _certifies(objective, lower_bound):
@@ -298,26 +301,26 @@ def exact_al_solve(mdp, basis, target):
 def _optimal_occupancy_for_cost(mdp, cost):
     """Exact minimizer of <mu, cost> over the occupancy polytope.
 
-    Policy iteration on the deterministic policies, started from the
-    cost's own greedy policy: evaluate exactly by linear solve, improve
-    greedily, stop when no action improves by more than solver round-off.
-    It is finite and exact from any start, and independent of the simplex
-    code.  Returns (actions, measure) of the final deterministic policy.
-    Raises RuntimeError if the policy still improves after
-    _POLICY_ITERATION_ROUNDS rounds: an unconverged policy's
-    w . (Psi^T mu - target) bounds nothing.
+    Policy iteration on the deterministic policies: evaluate exactly by
+    linear solve, improve greedily, stop when no action improves by more
+    than solver round-off.  Finite and independent of the simplex code.
+    It starts greedy on the uniform policy's values, whose dynamics break
+    the ties of a cost that depends only on the state.  Returns (actions,
+    measure) of the final deterministic policy.  Raises RuntimeError if
+    the policy still improves after n_states + _POLICY_ITERATION_SLACK
+    rounds: an unconverged policy's w . (Psi^T mu - target) bounds nothing.
     """
     cost = np.asarray(cost, dtype=float)
-    actions = cost.reshape(mdp.n_states, mdp.n_actions).argmin(axis=1)
-    idx = np.arange(mdp.n_states)
-    for _ in range(_POLICY_ITERATION_ROUNDS):
-        pairs = idx * mdp.n_actions + actions
-        values = np.linalg.solve(
-            np.eye(mdp.n_states) - mdp.discount * mdp.transition[pairs], cost[pairs]
-        )
-        q = (cost + mdp.discount * (mdp.transition @ values)).reshape(
-            mdp.n_states, mdp.n_actions
-        )
+    n, m, g = mdp.n_states, mdp.n_actions, mdp.discount
+    idx = np.arange(n)
+    p_uniform = mdp.transition.reshape(n, m, n).mean(axis=1)
+    values = np.linalg.solve(np.eye(n) - g * p_uniform, cost.reshape(n, m).mean(axis=1))
+    actions = (cost + g * (mdp.transition @ values)).reshape(n, m).argmin(axis=1)
+    rounds = n + _POLICY_ITERATION_SLACK
+    for _ in range(rounds):
+        pairs = idx * m + actions
+        values = np.linalg.solve(np.eye(n) - g * mdp.transition[pairs], cost[pairs])
+        q = (cost + g * (mdp.transition @ values)).reshape(n, m)
         improved = q.argmin(axis=1)
         keep = q[idx, actions] <= q[idx, improved] + 1e-12
         improved[keep] = actions[keep]
@@ -326,7 +329,7 @@ def _optimal_occupancy_for_cost(mdp, cost):
         actions = improved
     else:
         raise RuntimeError(
-            f"policy iteration still improving after {_POLICY_ITERATION_ROUNDS} "
+            f"policy iteration still improving after {rounds} "
             f"rounds on a cost of {cost.size} entries"
         )
     return actions, occupancy_of_policy(mdp, deterministic_policy(mdp, actions))

@@ -284,12 +284,12 @@ def test_pricing_raises_when_policy_iteration_hits_its_cap(monkeypatch):
     target = feature_expectation(
         occupancy_of_policy(mdp, value_iteration(mdp, cost)[0]), basis
     )
-    # from the cost's greedy start the default cap converges; ties on the
-    # symmetric gridworld may pick other actions than value iteration's,
-    # but never a costlier policy
+    # the default cap converges; ties on the symmetric gridworld may pick
+    # other actions than value iteration's, but never a costlier policy
     priced, vi = _priced_and_value_iteration_costs(mdp, cost)
     assert abs(priced - vi) <= 1e-12 * max(1.0, abs(priced))
-    monkeypatch.setattr(baseline, "_POLICY_ITERATION_ROUNDS", 1)
+    # allow a single round
+    monkeypatch.setattr(baseline, "_POLICY_ITERATION_SLACK", 1 - mdp.n_states)
     with pytest.raises(RuntimeError, match=f"after 1 rounds on a cost of {mdp.n_pairs} entries"):
         baseline._optimal_occupancy_for_cost(mdp, cost)
     with pytest.raises(RuntimeError, match="policy iteration still improving"):
@@ -298,10 +298,10 @@ def test_pricing_raises_when_policy_iteration_hits_its_cap(monkeypatch):
 
 @pytest.mark.parametrize("width", [4, 10, 16, 24])
 @pytest.mark.parametrize("n_blocks", [4, 8])
-def test_pricing_from_the_greedy_start_on_region_costs(width, n_blocks):
-    """Policy iteration from the cost's greedy policy converges within its
-    cap on the region-basis costs Psi w that column generation prices, and
-    is never worse than value iteration's policy."""
+def test_pricing_converges_on_region_costs(width, n_blocks):
+    """Policy iteration converges within its cap on the region-basis costs
+    Psi w that column generation prices, and is never worse than value
+    iteration's policy."""
     mdp, _ = make_gridworld(width, width, 0.9, 0.1)
     psi = region_indicator_basis(mdp, n_blocks).psi
     rng = np.random.default_rng(100 * width + n_blocks)
@@ -312,11 +312,31 @@ def test_pricing_from_the_greedy_start_on_region_costs(width, n_blocks):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_pricing_from_the_greedy_start_on_random_mdps(seed):
+def test_pricing_converges_on_random_mdps(seed):
     mdp = make_random_mdp(30, 5, 0.95, seed=seed)
     cost = np.random.default_rng(seed).uniform(-1.0, 1.0, mdp.n_pairs)
     priced, vi = _priced_and_value_iteration_costs(mdp, cost)
     assert priced <= vi + 1e-12 * max(1.0, abs(priced))
+
+
+@pytest.mark.parametrize("shape", [(1, 200), (200, 1)])
+def test_pricing_converges_on_a_long_strip_without_slip(shape):
+    """Costs that depend only on the state tie every action of a state, and
+    without slip an improvement moves one cell per round: the goal cost
+    needs about 140 rounds on a 200-cell strip, past any fixed cap of 64.
+    Pricing must converge, and so must the exact solve that prices its
+    sign probe."""
+    mdp, goal_cost = make_gridworld(*shape, 0.9, 0.0)
+    basis = region_indicator_basis(mdp, 2)
+    expert = occupancy_of_policy(mdp, value_iteration(mdp, goal_cost)[0])
+    target = feature_expectation(expert, basis)
+    for cost in (goal_cost, basis.psi @ np.array([1.0, -1.0])):
+        priced, vi = _priced_and_value_iteration_costs(mdp, cost)
+        assert priced <= vi + 1e-12 * max(1.0, abs(priced))
+    lp = exact_al_solve(mdp, basis, target)
+    assert lp.objective <= 1e-9
+    neg, flow_gap = flow_residual(mdp, lp.mu_star.mass)
+    assert neg <= 1e-12 and flow_gap <= 1e-8
 
 
 def test_subgradient_solver_on_dense_bases():
