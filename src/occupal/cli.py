@@ -12,7 +12,8 @@ loop counts and judges what it measures against a tolerance; the
 acceptance suite runs the same functions at full scale.
 
 Exit codes: 0 success, 1 validation failure (bad config, bad input files,
-invalid generated objects) or a failed verify check, 2 internal error.
+invalid generated objects, arrays too large to allocate) or a failed verify
+check, 2 internal error.
 """
 
 from __future__ import annotations
@@ -240,8 +241,7 @@ def main(argv=None):
         return _COMMANDS[args.command](args)
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        cause = exc.__cause__
-        return 1 if isinstance(cause, ValueError) else 2
+        return 1 if exc.invalid_input else 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

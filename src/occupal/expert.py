@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mdp import _SUM_ATOL
+
 __all__ = [
     "EmpiricalFeatureExpectation",
     "default_horizon",
@@ -113,7 +115,10 @@ def sample_trajectories(mdp, policy, m, horizon, seed):
     (next state) whose cumulative probability exceeds its uniform draw,
     searching only the support table of each policy (transition) row: the
     columns where the row's cumulative weight rises, one per greedy policy
-    row and at most four per gridworld transition row.
+    row and at most four per gridworld transition row.  Raises ValueError
+    for m or horizon below 1, and for a policy that is not (n_states,
+    n_actions), finite and nonnegative, or whose rows do not each sum to 1
+    within 1e-9.
     """
     if m < 1 or horizon < 1:
         raise ValueError(f"need m >= 1 and horizon >= 1, got ({m}, {horizon})")
@@ -124,6 +129,13 @@ def sample_trajectories(mdp, policy, m, horizon, seed):
         )
     if not np.all(np.isfinite(probs)) or np.any(probs < 0):
         raise ValueError("policy probabilities must be finite and nonnegative")
+    row_sums = probs.sum(axis=1)
+    off = np.flatnonzero(np.abs(row_sums - 1.0) > _SUM_ATOL)
+    if off.size:
+        raise ValueError(
+            f"policy row {int(off[0])} sums to {float(row_sums[off[0]])!r}, not 1 "
+            f"within {_SUM_ATOL}"
+        )
     # uniforms[j], a view with no copy, is draw j of every rollout.
     uniforms = np.random.default_rng(seed).random((m, 2 * horizon + 1)).T
 

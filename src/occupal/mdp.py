@@ -87,7 +87,8 @@ _SUM_ATOL = 1e-9
 def validate_mdp(mdp):
     """Return a list of human-readable violations (empty list = valid).
 
-    Transition rows and the initial distribution must sum to 1 within 1e-9.
+    Transition rows and the initial distribution must be finite and
+    nonnegative and sum to 1 within 1e-9.
     """
     problems = []
     n, k = mdp.n_states, mdp.n_actions
@@ -101,6 +102,9 @@ def validate_mdp(mdp):
         return problems
     if not (0.0 < mdp.discount < 1.0):
         problems.append(f"discount {mdp.discount} outside (0, 1)")
+    if not np.isfinite(mdp.transition).all():
+        rows = np.unique(np.nonzero(~np.isfinite(mdp.transition))[0])[:5]
+        problems.append(f"non-finite transition entries in rows {rows.tolist()}")
     if np.any(mdp.transition < 0):
         rows = np.unique(np.where(mdp.transition < 0)[0])[:5]
         problems.append(f"negative transition entries in rows {rows.tolist()}")
@@ -114,6 +118,8 @@ def validate_mdp(mdp):
     if mdp.initial_dist.shape != (n,):
         problems.append(f"initial_dist shape {mdp.initial_dist.shape} != ({n},)")
     else:
+        if not np.isfinite(mdp.initial_dist).all():
+            problems.append("initial_dist has non-finite entries")
         if np.any(mdp.initial_dist < 0):
             problems.append("initial_dist has negative entries")
         if abs(mdp.initial_dist.sum() - 1.0) > _SUM_ATOL:

@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -76,11 +75,21 @@ _MASK64 = (1 << 64) - 1
 
 
 class PipelineError(RuntimeError):
-    """Raised when a stage fails; .stage names the failing stage."""
+    """Raised when a stage fails.
 
-    def __init__(self, stage, message):
-        super().__init__(f"stage '{stage}' failed: {message}")
-        self.stage = stage
+    .stage names the failing stage and .message says why.  .invalid_input
+    is true when the cause was a validation failure: a ValueError, or a
+    MemoryError for arrays the config asks for.  All three are the
+    exception's args, so it survives a pickle round trip, as a worker
+    process's failure must.
+    """
+
+    def __init__(self, stage, message, invalid_input=False):
+        super().__init__(stage, message, invalid_input)
+        self.stage, self.message, self.invalid_input = stage, message, invalid_input
+
+    def __str__(self):
+        return f"stage '{self.stage}' failed: {self.message}"
 
 
 def _splitmix64(z):
@@ -354,45 +363,9 @@ def resolve_sgd(spec, seed, phi, basis, mdp):
     return config, constants, None
 
 
-# json.dump with an indent always runs CPython's pure-Python encoder; only
-# a one-shot encode without indent runs the C encoder, several times faster
-# on the long float lists of mdp.json.  _dump_json writes the text of
-# json.dump(blob, fh, sort_keys=True, indent=1) from C-encoded pieces.
-_ENCODE = json.JSONEncoder(sort_keys=True).encode
-
-
-def _indented_json(value, indent, out):
-    """Append to `out` the text json.dump(..., indent=1) gives `value` at
-    nesting `indent`.  A dict key that is not a string raises TypeError."""
-    inner = indent + " "
-    if isinstance(value, (list, tuple)):
-        text = _ENCODE(value)
-        if text.count("[") == 1 and "{" not in text and '"' not in text:
-            # Scalars only, so every ", " in the text separates two items.
-            items = text[1:-1].replace(", ", ",\n" + inner)
-            out.append(f"[\n{inner}{items}\n{indent}]" if items else "[]")
-            return
-        brackets, entries = "[]", [("", item) for item in value]
-    elif isinstance(value, dict) and value:
-        brackets = "{}"
-        entries = [(encode_basestring_ascii(key) + ": ", value[key]) for key in sorted(value)]
-    else:
-        out.append(_ENCODE(value))
-        return
-    separator = brackets[0] + "\n" + inner
-    for prefix, item in entries:
-        out.append(separator + prefix)
-        _indented_json(item, inner, out)
-        separator = ",\n" + inner
-    out.append("\n" + indent + brackets[1])
-
-
 def _dump_json(path, blob):
-    out = []
-    _indented_json(blob, "", out)
-    out.append("\n")
     with open(path, "w") as fh:
-        fh.writelines(out)
+        fh.write(json.dumps(blob, sort_keys=True) + "\n")
 
 
 # Rows formatted per block: Python objects for all 50k rows of a run at
@@ -618,7 +591,8 @@ def run_stages(config, stages, write):
                 os.remove(path)
         if isinstance(exc, PipelineError):
             raise
-        raise PipelineError(stage, str(exc)) from exc
+        invalid = isinstance(exc, (ValueError, MemoryError))
+        raise PipelineError(stage, str(exc), invalid) from exc
     return state
 
 

@@ -216,6 +216,19 @@ def test_sampler_rejects_bad_policies():
             sample_trajectories(grid, Policy(probs), m=2, horizon=3, seed=0)
 
 
+def test_sampler_rejects_policy_rows_that_do_not_sum_to_one():
+    """Pinning the cumulative row to 1 would hand the missing mass to the
+    last action: an all-zero policy on the chain would always pick action 1."""
+    for probs, row in ((np.zeros((2, 2)), 0),
+                       (np.array([[1.0, 0.0], [0.5, 0.5 - 1e-8]]), 1),
+                       (np.array([[0.5, 0.5 + 1e-8], [1.0, 0.0]]), 0)):
+        with pytest.raises(ValueError, match=f"policy row {row} sums to"):
+            sample_trajectories(CHAIN, Policy(probs), m=2, horizon=3, seed=0)
+    # off by less than the tolerance is accepted
+    nearly = np.array([[1.0, 0.0], [0.5, 0.5 - 1e-12]])
+    assert sample_trajectories(CHAIN, Policy(nearly), m=2, horizon=3, seed=0).shape == (2, 3, 2)
+
+
 # ---------------------------------------------------------------------------
 # the estimator
 

@@ -72,6 +72,16 @@ def test_validate_reports_negative_entries():
     assert any("negative" in p for p in validate_mdp(bad))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_validate_reports_non_finite_entries(value):
+    transition = CHAIN.transition.copy()
+    transition[1, 0] = value
+    bad = Mdp(2, 2, transition, 0.5, CHAIN.initial_dist)
+    assert "non-finite transition entries in rows [1]" in validate_mdp(bad)
+    bad = Mdp(2, 2, CHAIN.transition, 0.5, np.array([value, 0.0]))
+    assert "initial_dist has non-finite entries" in validate_mdp(bad)
+
+
 def test_discount_must_be_in_open_interval():
     for gamma in (0.0, 1.0, -0.2, 1.3):
         bad = Mdp(2, 2, CHAIN.transition, gamma, CHAIN.initial_dist)
@@ -361,7 +371,7 @@ def test_mdp_json_round_trip_is_bit_exact(run_artifacts):
     # file byte for byte
     blob = mdp_to_json(mdp)
     blob.update(master_seed=21, stage_seed=state["seeds"]["environment"])
-    text = json.dumps(blob, sort_keys=True, indent=1) + "\n"
+    text = json.dumps(blob, sort_keys=True) + "\n"
     assert path.read_text() == text
 
 

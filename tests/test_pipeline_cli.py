@@ -1,24 +1,26 @@
 """End-to-end pipeline runs and the command-line front end.
 
 run_experiment must write all nine artifacts, be byte-reproducible from
-(config, master seed) alone, write its JSON files with the text json.dump
-gives, name the failing stage and clean up after itself on errors, and
-record the derived hyperparameters exactly when the config gives an
-accuracy pair instead of explicit settings, together with whether the
-expert batch meets the pair's sample size.  The CLI must expose every
-stage as a stateless subcommand whose outputs match a full run, remove
-only its own files when a stage fails, reject a malformed theta file,
-feature file, basis file, config shape, unknown kind, key that only
-another kind reads, out_dir that is not a string or cannot be created,
-mix of explicit and derived hyperparameters or input path that is not a
-readable file, fail `verify` when a property
-misses its tolerance, and report validation failures and internal errors
-through its exit code.
+(config, master seed) alone, write each JSON file on one line that reads
+back bit for bit to what its stage computed, name the failing stage and
+clean up after itself on errors, and record the derived hyperparameters
+exactly when the config gives an accuracy pair instead of explicit
+settings, together with whether the expert batch meets the pair's sample
+size.  The CLI must expose every stage as a stateless subcommand whose
+outputs match a full run, remove only its own files when a stage fails,
+reject a malformed theta file, feature file, basis file, config shape,
+unknown kind, key that only another kind reads, out_dir that is not a
+string or cannot be created, mix of explicit and derived hyperparameters
+or input path that is not a readable file, fail `verify` when a property
+misses its tolerance, and report validation failures (a config whose
+arrays cannot be allocated, and a stage failing in a worker process,
+included) and internal errors through its exit code.
 """
 
 import hashlib
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -28,11 +30,14 @@ from occupal import (
     empirical_feature_expectation,
     hoeffding_sample_size,
     l1_feature_gap,
+    load_mdp,
+    load_policy,
     load_trajectories,
     make_chain,
     region_indicator_basis,
     sampling_constants,
 )
+from occupal.baseline import regret_report, regret_report_to_json
 from occupal.cli import main
 from occupal import pipeline
 from occupal.pipeline import (
@@ -177,7 +182,7 @@ def test_partial_outputs_removed_on_stage_failure(tmp_path):
     )
     with pytest.raises(PipelineError, match="stage 'sgd'") as excinfo:
         run_experiment(ExperimentConfig.from_json(config))
-    assert excinfo.value.stage == "sgd"
+    assert excinfo.value.stage == "sgd" and excinfo.value.invalid_input
     assert isinstance(excinfo.value.__cause__, ValueError)
     # the stages before sgd had already written their files; all are gone
     assert not any((out / name).exists() for name in ARTIFACT_NAMES)
@@ -238,12 +243,6 @@ def test_trace_csv_matches_the_row_writer_byte_for_byte(tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-def _reference_dump_json(path, blob):
-    with open(path, "w") as fh:
-        json.dump(blob, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 # The README's CLI quick-start config, but for its out_dir.
 README_4X4 = {
     "environment": {"kind": "gridworld", "width": 4, "height": 4,
@@ -256,33 +255,76 @@ README_4X4 = {
 }
 
 
-def test_json_writer_matches_json_dump_byte_for_byte(tmp_path, monkeypatch):
-    """Every blob two runs write, and the corners of the JSON grammar."""
-    blobs = [
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _same_json(loaded, value):
+    """True if json.load gave back `value`: floats bit for bit (signed
+    zeros and nan included), bools as bools, tuples as lists."""
+    if isinstance(value, dict):
+        return (isinstance(loaded, dict) and loaded.keys() == value.keys()
+                and all(_same_json(loaded[key], value[key]) for key in value))
+    if isinstance(value, (list, tuple)):
+        return (isinstance(loaded, list) and len(loaded) == len(value)
+                and all(map(_same_json, loaded, value)))
+    return type(loaded) is type(value) and repr(loaded) == repr(value)
+
+
+def test_json_artifacts_reload_to_what_their_stages_computed(tmp_path, monkeypatch):
+    """Each JSON artifact of two runs, and the corners of the JSON grammar,
+    read back bit for bit from the one-line sort_keys text."""
+    reports = []
+
+    def recording_report(*args):
+        reports.append(regret_report(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(pipeline, "regret_report", recording_report)
+    names = [name for name in ARTIFACT_NAMES if name.endswith(".json")]
+    for config in (chain_config(tmp_path / "chain"),
+                   dict(README_4X4, out_dir=str(tmp_path / "readme"))):
+        state = run_stages(ExperimentConfig.from_json(config), [s for s, _, _ in STAGES], names)
+        paths = state["paths"]
+        blobs = {}
+        for name in names:
+            with open(paths[name]) as fh:
+                text = fh.read()
+            blobs[name] = json.loads(text)
+            assert text == json.dumps(blobs[name], sort_keys=True) + "\n", name
+
+        mdp = load_mdp(paths["mdp.json"])
+        assert _bits(mdp.transition) == _bits(state["mdp"].transition)
+        assert _bits(mdp.initial_dist) == _bits(state["mdp"].initial_dist)
+        assert mdp.discount == state["mdp"].discount
+        for name, key in (("expert_policy.json", "expert_policy"),
+                          ("policy.json", "trained_policy")):
+            assert _bits(load_policy(paths[name]).probs) == _bits(state[key].probs), name
+        assert _bits(blobs["expert_fe.json"]["values"]) == _bits(state["estimate"].values)
+        assert _bits(blobs["theta.json"]["theta"]) == _bits(state["trace"].theta_avg)
+        baseline = blobs["baseline.json"]
+        assert _bits(baseline["mu_star"]) == _bits(state["exact"].mu_star.mass)
+        assert _bits(baseline["objective"]) == _bits(state["exact"].objective)
+        report = blobs["regret_report.json"]
+        for key, value in regret_report_to_json(reports.pop()).items():
+            assert _same_json(report[key], value), key
+
+    corners = [
         {}, [], [[]], [{}], {"": {}}, [[], [1]],
         [[1, 2], [3], [[4.5, [None]], 6]],  # nested and ragged
         [1, -2, 2.5, True, False, None, 10**30],
         [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324],
-        ["a, b", "c"], ["a, b", "[", '"', "{", "x\\y, [1, 2]"],
+        ["a, b", "c"], ["a, b", "[", '"', "{", "x\\y, [1, 2]", "line\nbreak"],
         {"\u00e9t\u00e9": "\u65e5\u672c", "k": ["\u00fc", 1.0]},
         (1, (2.0, (None,)), [3], ()),
         {"z": [{"b": [1, 2]}, 3], "a": {"y": (), "x": "[1, 2]"}},
         7, -0.0, "text", None,
     ]
-    written = []
-    monkeypatch.setattr(pipeline, "_dump_json", lambda path, blob: written.append(blob))
-    names = [name for name in ARTIFACT_NAMES if name.endswith(".json")]
-    for config in (chain_config(tmp_path / "chain"),
-                   dict(README_4X4, out_dir=str(tmp_path / "readme"))):
-        run_stages(ExperimentConfig.from_json(config), [s for s, _, _ in STAGES], names)
-    assert len(written) == 2 * len(names)
-    monkeypatch.undo()
-    for i, blob in enumerate(blobs + written):
-        _reference_dump_json(tmp_path / "ref.json", blob)
-        pipeline._dump_json(tmp_path / "new.json", blob)
-        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes(), i
-    with pytest.raises(TypeError):
-        pipeline._dump_json(tmp_path / "new.json", {1: 2})
+    for i, blob in enumerate(corners):
+        pipeline._dump_json(tmp_path / "corner.json", blob)
+        text = (tmp_path / "corner.json").read_text()
+        assert text.count("\n") == 1 and text.endswith("\n"), i
+        assert _same_json(json.loads(text), blob), i
 
 
 def test_stage_seed_derivation():
@@ -427,6 +469,27 @@ def test_cli_parallel_seeds(tmp_path):
     ).read_bytes()
 
 
+def test_cli_parallel_seeds_report_a_stage_failure_as_a_serial_run_does(tmp_path, capsys):
+    """The worker's PipelineError crosses the process pool intact."""
+    blob = chain_config(tmp_path / "serial", basis={"kind": "bogus"})
+    config_path = write_config(tmp_path, blob)
+    assert main(["run", "--config", config_path]) == 1
+    serial = capsys.readouterr().err
+    assert serial == "error: stage 'basis' failed: unknown basis kind 'bogus'\n"
+    assert main(["run", "--config", config_path, "--out", str(tmp_path / "sweep"),
+                 "--parallel-seeds", "2"]) == 1
+    assert capsys.readouterr().err == serial
+
+
+def test_pipeline_error_survives_a_pickle_round_trip():
+    for invalid_input in (True, False):
+        error = PipelineError("basis", "unknown basis kind 'bogus'", invalid_input)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is PipelineError and str(copy) == str(error)
+        assert (copy.stage, copy.message, copy.invalid_input) == (
+            "basis", "unknown basis kind 'bogus'", invalid_input)
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_cli_parallel_seeds_rejects_a_count_below_one(tmp_path, capsys, n):
     parent = tmp_path / "sweep"
@@ -503,6 +566,16 @@ def test_cli_validation_exit_codes(tmp_path):
     bad_file = chain_config(tmp_path / "z")
     bad_file["basis"] = {"kind": "file", "path": str(tmp_path / "nope.npz")}
     assert main(["run", "--config", write_config(tmp_path, bad_file, "file.json")]) == 1
+
+
+def test_cli_rejects_a_config_whose_arrays_cannot_be_allocated(tmp_path, capsys):
+    # A 2**57-step trace needs 1 EiB per column, past any 57-bit address
+    # space: the allocation fails at once and touches no memory.
+    out = tmp_path / "run"
+    blob = chain_config(out, sgd={"rho": 2.0, "lam": 5.0, "eta": 0.01, "iterations": 2**57})
+    assert main(["train", "--config", write_config(tmp_path, blob)]) == 1
+    assert "stage 'sgd' failed: Unable to allocate" in capsys.readouterr().err
+    assert not any((out / name).exists() for name in ARTIFACT_NAMES)
 
 
 @pytest.mark.parametrize("section, spec", [
